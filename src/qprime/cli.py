@@ -5,10 +5,6 @@ formspec) or from a path to a QuasiForm JSON file, and emits JSON or CSV
 with all rationals as "num/den" strings.  Exit codes are a stable
 contract: 0 success, 1 when a check's verdict is negative (Not, a failed
 scan, an unproven finite check), 2 on usage or parse errors.
-
-QPRIME_THREADS caps internal parallelism; the current engine computes
-everything on one thread, so any positive cap is honored as-is (the
-variable is validated and otherwise ignored).
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from .macmahon import macmahon_table, prime_identity
 from .primedetect import (
     IN_OMEGA_TILDE,
     VANISHES_AT_ALL_PRIMES,
+    degree_bound,
     finite_check,
     omega_scan,
     omega_tilde_decide,
@@ -66,19 +63,6 @@ def _fields_csv(data: dict) -> str:
     for key, value in data.items():
         rows.append([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
     return _csv_text(rows)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QPRIME_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"QPRIME_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"QPRIME_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +142,7 @@ def _cmd_finite_check(args) -> int:
         primes = list(first_primes(args.first_primes))
     else:
         # enough primes for a verdict: one past the structural degree bound
-        keys = [key for key in form.eis if key[0] != 0]
-        degree = max((l + k - 1 for (k, l) in keys), default=0)
-        primes = list(first_primes(degree + 1))
+        primes = list(first_primes(degree_bound(form) + 1))
     result = finite_check(form, primes)
     if args.format == "csv":
         _emit(_fields_csv(result.to_dict()), args.output)
@@ -311,7 +293,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _thread_cap()
         return args.handler(args)
     except FormSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

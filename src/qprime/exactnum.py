@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 __all__ = [
     "Fraction",
@@ -21,6 +22,10 @@ __all__ = [
     "primes_up_to",
     "prime_mask",
     "is_prime",
+    "integer_numerators",
+    "rationals_over",
+    "factor_exact",
+    "apply_factor",
     "solve_exact",
 ]
 
@@ -295,8 +300,106 @@ def _as_complex(x):
 
 
 # ---------------------------------------------------------------------------
+# rationals as integers over one denominator
+# ---------------------------------------------------------------------------
+
+
+def integer_numerators(values):
+    """(nums, den) with values[i] == nums[i] / den, den the lcm of denominators.
+
+    Returns None when a value is neither int nor Fraction (a ComplexRational,
+    say): such lists have no common integer scaling.
+    """
+    den = 1
+    all_int = True
+    for v in values:
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                return None
+            all_int = False
+            den = lcm(den, v.denominator)
+    if all_int:
+        return list(values), 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def rationals_over(nums, den: int) -> list:
+    """nums[i] / den for each i: an int where it divides, else a Fraction."""
+    if den == 1:
+        return list(nums)
+    return [x // den if x % den == 0 else Fraction(x, den) for x in nums]
+
+
+# ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
+
+
+def factor_exact(rows) -> tuple:
+    """Gauss-Jordan elimination of an m x n matrix of full column rank.
+
+    The row operations are recorded as the m x m integer matrix T they
+    compose to: T times the matrix is diag(pivots) above m - n zero rows.
+    Returns (solution_ops, residual_ops): solution_ops holds (row i of T,
+    pivot i) for i < n, residual_ops the remaining m - n rows of T.
+
+    Entries must be int or Fraction.  The elimination is fraction-free:
+    each row is scaled to integers, a row operation cross-multiplies by
+    the pivot, and every new row is divided by the gcd of its entries.
+    A rank-deficient matrix raises ValueError: every caller here relies
+    on uniqueness, so a solvable but underdetermined system indicates a
+    bug, not an answer.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = []
+    for i, row in enumerate(rows):
+        scaled = integer_numerators(row)
+        if scaled is None:
+            raise TypeError("solve_exact: matrix entries must be int or Fraction")
+        nums, den = scaled
+        # the identity block, times the scaling that made row i integral
+        aug.append(nums + [den if j == i else 0 for j in range(m)])
+    for c in range(n):
+        pr = next((i for i in range(c, m) if aug[i][c] != 0), None)
+        if pr is None:
+            raise ValueError("solve_exact: coefficient matrix is rank-deficient")
+        aug[c], aug[pr] = aug[pr], aug[c]
+        prow = aug[c]
+        pv = prow[c]
+        for i in range(m):
+            f = aug[i][c]
+            if i != c and f != 0:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(aug[i], prow)]
+                g = gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
+    solution_ops = []
+    for i, row in enumerate(aug[:n]):
+        sign = 1 if row[i] > 0 else -1
+        solution_ops.append((tuple(sign * x for x in row[n:]), sign * row[i]))
+    return tuple(solution_ops), tuple(tuple(row[n:]) for row in aug[n:])
+
+
+def apply_factor(factor, rhs):
+    """The unique x with A x = rhs for A factored by factor_exact, or None.
+
+    One matrix-vector product T rhs: its first n entries over their pivots
+    are x, and every one of the remaining m - n must vanish for the system
+    to be consistent (None otherwise).
+    """
+    solution_ops, residual_ops = factor
+    m = len(solution_ops) + len(residual_ops)
+    if len(rhs) != m:
+        raise ValueError(f"solve_exact: {m} rows but {len(rhs)} right-hand sides")
+    scaled = integer_numerators(rhs)
+    if scaled is None:
+        raise TypeError("solve_exact: right-hand side entries must be int or Fraction")
+    y, den = scaled
+    if any(sum(map(mul, t, y)) for t in residual_ops):
+        return None
+    return [Fraction(sum(map(mul, t, y)), pv * den) for t, pv in solution_ops]
 
 
 def solve_exact(rows, rhs):
@@ -305,38 +408,8 @@ def solve_exact(rows, rhs):
     The system may be overdetermined; entries must be int or Fraction.
     Returns the unique solution as a list of Fractions, or None if the
     system is inconsistent.  A rank-deficient coefficient matrix raises
-    ValueError: every caller here relies on uniqueness, so a solvable but
-    underdetermined system indicates a bug, not an answer.
+    ValueError (see factor_exact).
     """
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError(f"solve_exact: {m} rows but {len(rhs)} right-hand sides")
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        if pv != 1:
-            aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    if len(pivot_cols) < n:
-        raise ValueError("solve_exact: coefficient matrix is rank-deficient")
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        sol[c] = aug[i][n]
-    return sol
+    if len(rows) != len(rhs):
+        raise ValueError(f"solve_exact: {len(rows)} rows but {len(rhs)} right-hand sides")
+    return apply_factor(factor_exact(rows), rhs)

@@ -23,8 +23,14 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
-from .exactnum import ComplexRational, bernoulli, sigma_array, solve_exact
-from .qseries import QExpansion
+from .exactnum import (
+    ComplexRational,
+    apply_factor,
+    bernoulli,
+    factor_exact,
+    sigma_array,
+)
+from .qseries import QExpansion, linear_combination
 
 __all__ = [
     "QuasiForm",
@@ -344,17 +350,17 @@ class QuasiForm:
     # -- expansion ----------------------------------------------------------
 
     def expand(self, precision: int, constant_sign: str = "paper") -> QExpansion:
-        total = QExpansion.zero(precision)
+        terms = []
         for (k, l), coeff in sorted(self.eis.items()):
             base = (
                 QExpansion.one(precision)
                 if k == 0
                 else eisenstein_g(k, precision, constant_sign)
             )
-            total = total + coeff * base.derivative(l)
+            terms.append((coeff, base.derivative(l)))
         for (m, i, l), coeff in sorted(self.cusp.items()):
-            total = total + coeff * cusp_basis(m, precision)[i].derivative(l)
-        return total
+            terms.append((coeff, cusp_basis(m, precision)[i].derivative(l)))
+        return linear_combination(terms, precision)
 
     # -- serialization ------------------------------------------------------
 
@@ -382,23 +388,61 @@ class QuasiForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuasiForm":
-        eis = {}
-        for entry in data.get("eis", []):
-            k, l, value = entry
-            if (k, l) in eis:
-                raise ValueError(f"QuasiForm: duplicate eis entry for {(k, l)}")
-            eis[(int(k), int(l))] = Fraction(value)
-        cusp = {}
-        for entry in data.get("cusp", []):
-            m, i, l, value = entry
-            if (m, i, l) in cusp:
-                raise ValueError(f"QuasiForm: duplicate cusp entry for {(m, i, l)}")
-            cusp[(int(m), int(i), int(l))] = Fraction(value)
+        """Read the to_dict layout back; anything else raises ValueError.
+
+        Keys must be JSON integers (not booleans) and coefficients either
+        integers or "num/den" strings, so that no float is ever read into
+        an exact coefficient or a truncated weight.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"QuasiForm JSON must be an object, got {type(data).__name__}"
+            )
+        unknown = sorted(set(data) - {"eis", "cusp"})
+        if unknown:
+            raise ValueError(f"QuasiForm JSON: unknown fields {unknown}")
+        eis = _read_entries(data, "eis", 2)
+        cusp = _read_entries(data, "cusp", 3)
         return cls(eis=eis, cusp=cusp)
 
     @classmethod
     def from_json(cls, text: str) -> "QuasiForm":
         return cls.from_dict(json.loads(text))
+
+
+def _read_entries(data: dict, field: str, nkeys: int) -> dict:
+    # entries are [key_1, ..., key_nkeys, coefficient]
+    entries = data.get(field, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"QuasiForm JSON: {field!r} must be a list of entries")
+    out = {}
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != nkeys + 1:
+            raise ValueError(
+                f"QuasiForm JSON: {field} entry {entry!r} must be a list of "
+                f"{nkeys} integers and a coefficient"
+            )
+        *key, value = entry
+        if any(type(x) is not int for x in key):
+            raise ValueError(f"QuasiForm JSON: {field} key {key!r} must be integers")
+        key = tuple(key)
+        if key in out:
+            raise ValueError(f"QuasiForm: duplicate {field} entry for {key}")
+        if type(value) is int:
+            out[key] = value
+        elif isinstance(value, str):
+            try:
+                out[key] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"QuasiForm JSON: coefficient {value!r} at {key} is not a rational"
+                ) from None
+        else:
+            raise ValueError(
+                f"QuasiForm JSON: coefficient {value!r} at {key} must be an integer "
+                'or a "num/den" string'
+            )
+    return out
 
 
 def quasiform_expand(
@@ -415,23 +459,42 @@ def quasiform_expand(
 def expand_monomials(
     monomials: dict, precision: int, constant_sign: str = "paper"
 ) -> QExpansion:
-    """Expand sum coeff * G_2^a G_4^b G_6^c over {(a, b, c): coeff}."""
-    total = QExpansion.zero(precision)
-    gens = {}
+    """Expand sum coeff * G_2^a G_4^b G_6^c over {(a, b, c): coeff}.
+
+    Each G_k is d_k times an integer series g_k, with d_k the denominator
+    of its constant term, so every product is a product of integer series;
+    the powers g_k^e are built once per call and shared by the monomials.
+    """
+    powers: dict = {}
+
+    def power(k, e):
+        # (g_k^e, d_k^e), each power built from the next lower one
+        if (k, e) not in powers:
+            if e == 1:
+                g = eisenstein_g(k, precision, constant_sign)
+                d = Fraction(g[0]).denominator
+                powers[(k, e)] = QExpansion([int(d * c) for c in g.coeffs], precision), d
+            else:
+                (lower, d_lower), (g, d) = power(k, e - 1), power(k, 1)
+                powers[(k, e)] = lower * g, d_lower * d
+        return powers[(k, e)]
+
+    terms = []
     for (a, b, c), coeff in sorted(monomials.items()):
         if min(a, b, c) < 0:
             raise ValueError(f"expand_monomials: negative exponent in {(a, b, c)}")
         if coeff == 0:
             continue
-        term = QExpansion.one(precision)
+        term, den = None, 1
         for k, e in ((2, a), (4, b), (6, c)):
             if e:
-                if k not in gens:
-                    gens[k] = eisenstein_g(k, precision, constant_sign)
-                for _ in range(e):
-                    term = term * gens[k]
-        total = total + coeff * term
-    return total
+                factor, d = power(k, e)
+                term = factor if term is None else term * factor
+                den *= d
+        if term is None:
+            term = QExpansion.one(precision)
+        terms.append((coeff * Fraction(1, den), term))
+    return linear_combination(terms, precision)
 
 
 def spanning_keys(weight: int) -> tuple[list, list]:
@@ -474,6 +537,31 @@ def _classicalize(monomials: dict) -> dict:
     return {key: value for key, value in out.items() if value != 0}
 
 
+# one spanning system per weight, as (eis_keys, cusp_keys, precision,
+# factor_exact of its rows); rows are the coefficients of q^0..q^precision,
+# columns the spanning keys.  The solve always runs in the classical
+# convention, so the weight alone keys it.
+_WEIGHT_SYSTEMS: dict[int, tuple] = {}
+
+
+def _weight_system(weight: int) -> tuple:
+    system = _WEIGHT_SYSTEMS.get(weight)
+    if system is None:
+        eis_keys, cusp_keys = spanning_keys(weight)
+        prec = len(eis_keys) + len(cusp_keys) + 10
+        cols = [
+            eisenstein_g(k, prec, "classical").derivative(l).coeffs
+            for (k, l) in eis_keys
+        ]
+        cols += [
+            cusp_basis(m, prec)[i].derivative(l).coeffs for (m, i, l) in cusp_keys
+        ]
+        rows = [[col[n] for col in cols] for n in range(prec + 1)]
+        system = (eis_keys, cusp_keys, prec, factor_exact(rows))
+        _WEIGHT_SYSTEMS[weight] = system
+    return system
+
+
 def from_monomials(
     monomials: dict, n_guard: int = 60, constant_sign: str = "paper"
 ) -> QuasiForm:
@@ -481,10 +569,11 @@ def from_monomials(
 
     Works one graded weight at a time: the monomials are first shifted to
     the sign convention in which they are weight-homogeneous, each weight
-    is solved exactly against its spanning set, and the shift is undone.
-    The result is certified by re-expansion through q^n_guard; a residual
-    there means the internal precision bound was too small for the input
-    and is reported rather than papered over.
+    is solved exactly against its spanning set (factored once per weight,
+    see _weight_system), and the shift is undone.  The result is certified
+    by re-expansion through q^n_guard; a residual there means the internal
+    precision bound was too small for the input and is reported rather
+    than papered over.
     """
     paper = _constant_factor(constant_sign) == 1
     for key in monomials:
@@ -501,19 +590,9 @@ def from_monomials(
     eis_out: dict = {}
     cusp_out: dict = {}
     for weight, mono_w in sorted(by_weight.items()):
-        eis_keys, cusp_keys = spanning_keys(weight)
-        ncols = len(eis_keys) + len(cusp_keys)
-        prec = ncols + 10
+        eis_keys, cusp_keys, prec, factor = _weight_system(weight)
         target = expand_monomials(mono_w, prec, "classical")
-        cols = [
-            eisenstein_g(k, prec, "classical").derivative(l).coeffs
-            for (k, l) in eis_keys
-        ]
-        cols += [
-            cusp_basis(m, prec)[i].derivative(l).coeffs for (m, i, l) in cusp_keys
-        ]
-        rows = [[col[n] for col in cols] for n in range(prec + 1)]
-        solution = solve_exact(rows, target.coeffs)
+        solution = apply_factor(factor, target.coeffs)
         if solution is None:
             raise ValueError(
                 f"from_monomials: inconsistent solve at weight {weight}; "

@@ -29,6 +29,7 @@ from .forms import QuasiForm
 
 __all__ = [
     "PrimePolynomial",
+    "degree_bound",
     "prime_polynomial",
     "coefficient_at_prime",
     "FiniteCheckResult",
@@ -98,12 +99,20 @@ def _eisenstein_keys(form: QuasiForm) -> list:
     return [key for key in form.eis if key[0] != 0]
 
 
+def degree_bound(form: QuasiForm) -> int:
+    """The structural degree bound d = max(l + k - 1) over the D^l G_k terms.
+
+    0 when the form has no Eisenstein term beyond the constant; the cusp
+    map is not looked at.
+    """
+    return max((l + k - 1 for (k, l) in form.eis if k != 0), default=0)
+
+
 def prime_polynomial(form: QuasiForm) -> PrimePolynomial:
     """Collect like powers of p in c_f(p) = sum alpha p^l (1 + p^{k-1})."""
-    keys = _eisenstein_keys(form)
-    if not keys:
+    if not _eisenstein_keys(form):
         return PrimePolynomial(betas=(0,), degree_bound=0)
-    d = max(l + k - 1 for (k, l) in keys)
+    d = degree_bound(form)
     betas = [Fraction(0)] * (d + 1)
     for (k, l), alpha in form.eis.items():
         if k == 0:
@@ -166,11 +175,10 @@ def finite_check(form: QuasiForm, primes) -> FiniteCheckResult:
     refutes it; anything less is reported as insufficient evidence, never
     as a verdict.
     """
-    keys = _eisenstein_keys(form)
-    if not keys:
+    if not _eisenstein_keys(form):
         # no Eisenstein terms at all: c_f(n) = 0 for n >= 1 structurally
         return FiniteCheckResult(verdict=VANISHES_AT_ALL_PRIMES, degree_bound=0)
-    d = max(l + k - 1 for (k, l) in keys)
+    d = degree_bound(form)
     needed = d + 1
     seen = sorted(set(primes))
     for p in seen:

@@ -6,8 +6,12 @@ equality likewise compares only up to the common precision; the precision
 is explicit data, never implicit.
 
 Coefficients are Python ints where possible and Fraction otherwise (they
-interoperate freely); integer-heavy series such as cusp form expansions
-stay on the fast integer path.
+interoperate freely).  Every product of rational series runs on integers:
+each operand is scaled once to integer numerators over the lcm of its
+denominators, the integer lists are multiplied, and the product is divided
+back once.  Sums of many scaled series (linear_combination) accumulate
+integer numerators over one denominator the same way.  Only ComplexRational
+coefficients take the generic coefficientwise route.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .exactnum import ComplexRational
+from .exactnum import ComplexRational, integer_numerators, rationals_over
 
-__all__ = ["QExpansion"]
+__all__ = ["QExpansion", "linear_combination"]
 
 # products at or above this precision go through Kronecker substitution;
 # below it schoolbook convolution wins (and keeps small cases simple)
@@ -109,10 +114,13 @@ class QExpansion:
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
             a = self.coeffs[: n + 1]
-            b = other.coeffs[: n + 1]
-            if n >= _FAST_MUL_MIN_PRECISION and _rationals_only(a) and _rationals_only(b):
-                return QExpansion(_mul_kronecker(a, b, n), n)
-            return QExpansion(_mul_schoolbook(a, b, n), n)
+            sa = integer_numerators(a)
+            sb = sa if other is self else integer_numerators(other.coeffs[: n + 1])
+            if sa is None or sb is None:
+                return QExpansion(_mul_schoolbook(a, other.coeffs[: n + 1], n), n)
+            (ia, den_a), (ib, den_b) = sa, sb
+            mul_int = _mul_kronecker if n >= _FAST_MUL_MIN_PRECISION else _mul_schoolbook
+            return QExpansion(rationals_over(mul_int(ia, ib, n), den_a * den_b), n)
         if isinstance(other, (int, Fraction, ComplexRational)):
             return QExpansion([c * other for c in self.coeffs], self.precision)
         return NotImplemented
@@ -171,8 +179,33 @@ def _coeff_from_str(s: str):
     return int(f) if f.denominator == 1 else f
 
 
-def _rationals_only(coeffs) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in coeffs)
+def linear_combination(terms, precision: int) -> QExpansion:
+    """sum of c * f over the (c, f) pairs, truncated at q^precision.
+
+    Every series must be known to at least that precision.  Rational terms
+    add up as integer numerators over one common denominator, divided back
+    once at the end; a ComplexRational scalar or coefficient anywhere sends
+    the whole sum through plain coefficientwise arithmetic.
+    """
+    terms = [(c, f.truncate(precision)) for c, f in terms]
+    scaled = []
+    den = 1
+    for c, f in terms:
+        nums = integer_numerators(f.coeffs)
+        if nums is None or not isinstance(c, (int, Fraction)):
+            total = QExpansion.zero(precision)
+            for c, f in terms:
+                total = total + c * f
+            return total
+        ints, d = nums
+        c = Fraction(c, d)
+        scaled.append((c, ints))
+        den = lcm(den, c.denominator)
+    acc = [0] * (precision + 1)
+    for c, ints in scaled:
+        m = c.numerator * (den // c.denominator)
+        acc = [x + m * y for x, y in zip(acc, ints)]
+    return QExpansion(rationals_over(acc, den), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -181,52 +214,34 @@ def _rationals_only(coeffs) -> bool:
 
 
 def _mul_schoolbook(a, b, n: int):
-    """Cauchy product truncated at q^n, plain double loop."""
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+    """Cauchy product truncated at q^n of two length-(n+1) lists, by diagonals.
+
+    Works for any coefficients that multiply and add; the rational products
+    in QExpansion.__mul__ hand it integers.
+    """
+    rb = b[::-1]
+    return [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
 
 
 def _mul_kronecker(a, b, n: int):
-    """Exact product via Kronecker substitution.
+    """Exact product of two integer lists via Kronecker substitution.
 
-    Coefficients are scaled to integers by the lcm of their denominators,
-    split into positive and negative parts, packed into huge integers with
-    fixed-width limbs, and multiplied once per sign pair; Python's big-int
-    multiplication is subquadratic, which is what makes precision ~10^4
-    products cheap.
+    The coefficients are split into positive and negative parts, packed
+    into huge integers with fixed-width limbs, and multiplied once per sign
+    pair; Python's big-int multiplication is subquadratic, which is what
+    makes precision ~10^4 products cheap.
     """
-    den_a = lcm(*(c.denominator for c in a if isinstance(c, Fraction)), 1)
-    den_b = lcm(*(c.denominator for c in b if isinstance(c, Fraction)), 1)
-    ia = [int(c * den_a) if isinstance(c, Fraction) else c * den_a for c in a]
-    ib = [int(c * den_b) if isinstance(c, Fraction) else c * den_b for c in b]
-
-    ap = [c if c > 0 else 0 for c in ia]
-    an = [-c if c < 0 else 0 for c in ia]
-    bp = [c if c > 0 else 0 for c in ib]
-    bn = [-c if c < 0 else 0 for c in ib]
+    ap = [c if c > 0 else 0 for c in a]
+    an = [-c if c < 0 else 0 for c in a]
+    bp = [c if c > 0 else 0 for c in b]
+    bn = [-c if c < 0 else 0 for c in b]
 
     width = _limb_width(max(ap + an), max(bp + bn), n + 1)
     pp = _packed_mul(ap, bp, width, n)
     nn = _packed_mul(an, bn, width, n)
     pn = _packed_mul(ap, bn, width, n)
     np_ = _packed_mul(an, bp, width, n)
-
-    den = den_a * den_b
-    out = []
-    for i in range(n + 1):
-        c = pp[i] + nn[i] - pn[i] - np_[i]
-        if den != 1:
-            f = Fraction(c, den)
-            c = int(f) if f.denominator == 1 else f
-        out.append(c)
-    return out
+    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n + 1)]
 
 
 def _limb_width(max_a: int, max_b: int, length: int) -> int:

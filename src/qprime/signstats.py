@@ -143,8 +143,9 @@ class SignStatsReport:
     """Exact prime-sum data at grid points, plus one floating column.
 
     partial_sum and partial_sum_sq are exact; normalized_sq holds
-    (x, sum * log(x) / x^beta0) as floats for plotting and is empty when
-    the form has Eisenstein terms (no growth profile applies).
+    (x, sum * log(x) / x^beta0) as floats for plotting, None at the points
+    where that value leaves the float range, and is empty when the form
+    has Eisenstein terms (no growth profile applies).
     """
 
     x_max: int
@@ -197,9 +198,7 @@ def partial_sum_report(form: QuasiForm, x_max: int, grid=None) -> SignStatsRepor
     normalized = ()
     if not form.eis and form.cusp:
         beta0 = exponent_profile(form).beta0
-        normalized = tuple(
-            (x, float(s) * math.log(x) / x ** float(beta0)) for x, s in sums_sq if x >= 2
-        )
+        normalized = tuple((x, _normalized(s, x, beta0)) for x, s in sums_sq if x >= 2)
     return SignStatsReport(
         x_max=x_max,
         sign_changes=sign_changes,
@@ -207,6 +206,15 @@ def partial_sum_report(form: QuasiForm, x_max: int, grid=None) -> SignStatsRepor
         partial_sum_sq=tuple(sums_sq),
         normalized_sq=normalized,
     )
+
+
+def _normalized(s, x: int, beta0) -> float | None:
+    # s * log(x) / x^beta0 as a float, or None where a float cannot hold it
+    try:
+        value = float(s) * math.log(x) / x ** float(beta0)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------

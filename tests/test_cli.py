@@ -197,16 +197,104 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("QPRIME_THREADS", "zero")
-    code, _, err = run_cli(capsys, "expand", "G4", "--precision", "2")
-    assert code == 2
-    assert "QPRIME_THREADS" in err
-    monkeypatch.setenv("QPRIME_THREADS", "4")
-    assert run_cli(capsys, "expand", "G4", "--precision", "2")[0] == 0
-
-
 def test_bad_json_file_rejected(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     assert run_cli(capsys, "expand", str(path))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a float key would be truncated to a weight, a float coefficient
+        # would enter the exact domain as its binary expansion
+        ('{"eis": [[4.5, 0, 0.1]]}', "must be integers"),
+        ('{"eis": [[4, 0, 0.1]]}', "must be an integer"),
+        ('{"eis": [[true, 0, "1"]]}', "must be integers"),
+        ('{"cusp": [[12, 0, false, "1"]]}', "must be integers"),
+        ('{"eis": [["4", 0, "1"]]}', "must be integers"),
+        ('{"eis": [[4, 0, true]]}', "must be an integer"),
+        ('{"eis": [[4, 0, null]]}', "must be an integer"),
+        ('{"eis": [[4, 0, [1]]]}', "must be an integer"),
+        ('{"eis": [[4, 0, "1/0"]]}', "not a rational"),
+        ('{"eis": [[4, 0, "x"]]}', "not a rational"),
+        ('{"eis": [[4, 0]]}', "a coefficient"),
+        ('{"eis": [4, 0, "1"]}', "a coefficient"),
+        ('{"eis": {"4": "1"}}', "must be a list"),
+        ('{"eiss": []}', "unknown fields"),
+        ("[1, 2]", "must be an object"),
+        ('"G4"', "must be an object"),
+        ("3", "must be an object"),
+    ],
+)
+def test_quasiform_json_boundary(capsys, tmp_path, text, message):
+    path = tmp_path / "form.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "expand", str(path), "--precision", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_quasiform_json_accepts_int_and_string_coefficients(capsys, tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text('{"eis": [[4, 0, 240], [2, 1, "-1/2"]], "cusp": [[12, 0, 0, "3"]]}')
+    code, out, _ = run_cli(capsys, "expand", str(path), "--precision", "3")
+    assert code == 0
+    expected = parse_form_spec("240 G4 - 1/2 D G2 + 3 DELTA").expand(3)
+    assert QExpansion.from_json(out) == expected
+
+
+# output of the previous release for a cusp combination whose normalized
+# column stays inside the float range; it must not change by a byte
+_SIGNSTATS_SPEC = ["S24.1 - 3/2 D^2 DELTA", "--bound", "300", "--grid", "10,97,300"]
+_SIGNSTATS_CSV = """x,partial_sum,partial_sum_sq,normalized_sq\r
+10,45390,98449050350,2.2668731575533025e-13\r
+97,21989034234866417110,472385260294238393817978682855232154720,4.4888839409810164e-09\r
+300,2465930624293060557146560,30046742379788129664644686332701484152580223032110,6.068065144378928e-10\r
+"""
+_SIGNSTATS_JSON = {
+    "x_max": 300,
+    "sign_changes": 40,
+    "partial_sum": [
+        [10, "45390"],
+        [97, "21989034234866417110"],
+        [300, "2465930624293060557146560"],
+    ],
+    "partial_sum_sq": [
+        [10, "98449050350"],
+        [97, "472385260294238393817978682855232154720"],
+        [300, "30046742379788129664644686332701484152580223032110"],
+    ],
+    "normalized_sq": [
+        [10, 2.2668731575533025e-13],
+        [97, 4.4888839409810164e-09],
+        [300, 6.068065144378928e-10],
+    ],
+}
+
+
+def test_signstats_output_unchanged_without_overflow(capsys):
+    code, out, _ = run_cli(capsys, "signstats", *_SIGNSTATS_SPEC)
+    assert code == 0
+    assert out == json.dumps(_SIGNSTATS_JSON, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, "signstats", *_SIGNSTATS_SPEC, "--format", "csv")
+    assert code == 0
+    assert out == _SIGNSTATS_CSV
+
+
+def test_signstats_normalized_overflow_is_null(capsys):
+    code, out, err = run_cli(
+        capsys, "signstats", "D^100 DELTA", "--bound", "3000", "--grid", "2,10,3000"
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    # exact sums are untouched; only the float column gives up at x = 3000
+    tau2_sq = 24**2 * 2**200
+    assert data["partial_sum_sq"][0] == [2, str(tau2_sq)]
+    assert [x for x, _ in data["normalized_sq"]] == [2, 10, 3000]
+    assert isinstance(data["normalized_sq"][0][1], float)
+    assert isinstance(data["normalized_sq"][1][1], float)
+    assert data["normalized_sq"][2][1] is None
+    assert int(data["partial_sum_sq"][2][1]).bit_length() > 1024

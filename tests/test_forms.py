@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from qprime.exactnum import sigma, solve_exact
+import qprime.forms as forms_module
+from qprime.exactnum import apply_factor, bernoulli, sigma, solve_exact
 from qprime.forms import (
     QuasiForm,
     cusp_basis,
@@ -24,6 +25,7 @@ from qprime.forms import (
     hk_quasiform,
     quasiform_expand,
     spanning_keys,
+    _classicalize,
 )
 from qprime.qseries import QExpansion
 
@@ -410,3 +412,101 @@ def test_from_monomials_classical_convention():
 def test_from_monomials_rejects_negative_exponents():
     with pytest.raises(ValueError):
         from_monomials({(0, -1, 0): 1})
+
+
+# -- the per-weight solve cache ---------------------------------------------
+
+
+def _uncached_system(weight):
+    # the weight's spanning system built from scratch, as from_monomials did
+    # before it cached a factored copy
+    eis_keys, cusp_keys = spanning_keys(weight)
+    prec = len(eis_keys) + len(cusp_keys) + 10
+    cols = [eisenstein_g(k, prec, "classical").derivative(l).coeffs for (k, l) in eis_keys]
+    cols += [cusp_basis(m, prec)[i].derivative(l).coeffs for (m, i, l) in cusp_keys]
+    rows = [[col[n] for col in cols] for n in range(prec + 1)]
+    return eis_keys + cusp_keys, prec, rows
+
+
+def _monomials_of_weight(weight):
+    return [
+        (a, b, c)
+        for a in range(weight // 2 + 1)
+        for b in range(weight // 4 + 1)
+        for c in range(weight // 6 + 1)
+        if 2 * a + 4 * b + 6 * c == weight
+    ]
+
+
+def test_weight_cache_matches_direct_solve_for_every_monomial(monkeypatch):
+    monkeypatch.setattr(forms_module, "_WEIGHT_SYSTEMS", {})
+    # each classical monomial solved once, directly and without the cache
+    direct = {}
+    for weight in range(2, 25, 2):
+        keys, prec, rows = _uncached_system(weight)
+        for mono in _monomials_of_weight(weight):
+            target = expand_monomials({mono: 1}, prec, "classical")
+            solution = solve_exact(rows, target.coeffs)
+            assert solution is not None
+            direct[mono] = {key: v for key, v in zip(keys, solution) if v != 0}
+
+    def assemble(classical_monomials, paper):
+        # the canonical form from the direct per-monomial solutions
+        eis, cusp = {}, {}
+        const = Fraction(classical_monomials.get((0, 0, 0), 0))
+        for mono, coeff in classical_monomials.items():
+            for key, value in direct.get(mono, {}).items():
+                part = eis if len(key) == 2 else cusp
+                part[key] = part.get(key, 0) + coeff * value
+                if paper and len(key) == 2 and key[1] == 0:
+                    const -= coeff * value * bernoulli(key[0]) / key[0]
+        eis[(0, 0)] = const
+        return QuasiForm(eis=eis, cusp=cusp)
+
+    for weight in range(2, 25, 2):
+        for mono in _monomials_of_weight(weight):
+            classical = from_monomials({mono: 1}, constant_sign="classical")
+            assert classical == assemble({mono: 1}, paper=False), mono
+            paper = from_monomials({mono: 1})
+            assert paper == assemble(_classicalize({mono: 1}), paper=True), mono
+    # one factored system per weight, whatever the convention
+    assert sorted(forms_module._WEIGHT_SYSTEMS) == list(range(2, 25, 2))
+
+
+def test_weight_cache_keeps_the_consistency_check():
+    weight = 16
+    _, _, prec, factor = forms_module._weight_system(weight)
+    target = expand_monomials({(2, 0, 2): 1}, prec, "classical").coeffs
+    assert apply_factor(factor, target) is not None
+    # a right-hand side off the span, caught by the all-rows check
+    perturbed = list(target)
+    perturbed[-1] += 1
+    assert apply_factor(factor, perturbed) is None
+    keys, _, rows = _uncached_system(weight)
+    assert solve_exact(rows, perturbed) is None
+
+
+def test_inconsistent_weight_solve_raises(monkeypatch):
+    # a target that the spanning set cannot reproduce must not be solved
+    real = forms_module.expand_monomials
+
+    def off_by_one(monomials, precision, constant_sign="paper"):
+        series = real(monomials, precision, constant_sign)
+        if constant_sign == "classical" and precision != 60:
+            series = series + QExpansion([0] * precision + [1], precision)
+        return series
+
+    monkeypatch.setattr(forms_module, "expand_monomials", off_by_one)
+    with pytest.raises(ValueError, match="inconsistent solve"):
+        from_monomials({(2, 1, 0): 1}, constant_sign="classical")
+
+
+def test_corrupted_weight_cache_trips_the_guard(monkeypatch):
+    # swap the recorded operations of two solution rows: the solve still
+    # looks consistent, and only the q^60 re-expansion can notice
+    eis_keys, cusp_keys, prec, (solution_ops, residual_ops) = forms_module._weight_system(12)
+    swapped = (solution_ops[1], solution_ops[0], *solution_ops[2:])
+    bad = (eis_keys, cusp_keys, prec, (swapped, residual_ops))
+    monkeypatch.setitem(forms_module._WEIGHT_SYSTEMS, 12, bad)
+    with pytest.raises(ValueError, match="guard precision 60"):
+        from_monomials({(0, 3, 0): 1}, constant_sign="classical")

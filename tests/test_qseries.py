@@ -9,8 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qprime.qseries import QExpansion, _mul_kronecker, _mul_schoolbook
+from qprime.exactnum import ComplexRational, integer_numerators, rationals_over
+from qprime.qseries import (
+    _FAST_MUL_MIN_PRECISION,
+    QExpansion,
+    _mul_kronecker,
+    _mul_schoolbook,
+)
 
 
 def _random_series(rng, precision, rational=False):
@@ -106,6 +114,8 @@ def test_derivative_composition():
 
 
 def test_kronecker_matches_schoolbook():
+    # _mul_kronecker multiplies integer lists; rational operands reach it
+    # scaled to integer numerators, as QExpansion.__mul__ does
     rng = random.Random(42)
     for trial in range(8):
         n = rng.randint(50, 400)
@@ -113,7 +123,10 @@ def test_kronecker_matches_schoolbook():
         b = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
         if trial % 2 == 0:
             a = [Fraction(c, rng.randint(1, 30)) for c in a]
-        assert _mul_kronecker(a, b, n) == _mul_schoolbook(a, b, n)
+        ia, den = integer_numerators(a)
+        product = _mul_kronecker(ia, b, n)
+        assert product == _mul_schoolbook(ia, b, n)
+        assert rationals_over(product, den) == _mul_schoolbook(a, b, n)
 
 
 def test_kronecker_edge_cases():
@@ -164,3 +177,121 @@ def test_truncate():
     assert f.truncate(3) is f
     with pytest.raises(ValueError):
         f.truncate(5)
+
+
+# -- QExpansion.__mul__ against a plain Fraction oracle ---------------------
+
+
+def _oracle_product(a, b):
+    """Schoolbook product over Fraction, truncated to the shorter operand."""
+    n = min(len(a), len(b)) - 1
+    a = [Fraction(c) for c in a[: n + 1]]
+    b = [Fraction(c) for c in b[: n + 1]]
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _canonical(coeffs):
+    # an int wherever the value is integral, a Fraction only otherwise
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coeffs)
+
+
+_coefficient = st.one_of(
+    st.just(0),
+    st.integers(-(10**30), 10**30),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+_small_precision = st.integers(0, 24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _small_precision, _small_precision)
+def test_mul_matches_fraction_oracle(data, na, nb):
+    a = QExpansion(data.draw(st.lists(_coefficient, min_size=na + 1, max_size=na + 1)), na)
+    b = QExpansion(data.draw(st.lists(_coefficient, min_size=nb + 1, max_size=nb + 1)), nb)
+    product = a * b
+    assert product.precision == min(na, nb)
+    assert product.coeffs == _oracle_product(a.coeffs, b.coeffs)
+    assert _canonical(product.coeffs)
+    square = a * a
+    assert square.coeffs == _oracle_product(a.coeffs, a.coeffs)
+    assert _canonical(square.coeffs)
+
+
+def _seeded_coeffs(seed, precision, zero_share, fraction_share):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(precision + 1):
+        u = rng.random()
+        if u < zero_share:
+            out.append(0)
+        elif u < zero_share + fraction_share:
+            out.append(Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**3)))
+        else:
+            out.append(rng.randint(-(10**12), 10**12))
+    return out
+
+
+@pytest.mark.parametrize(
+    "na, nb",
+    # products at precision 383 (schoolbook) and 384 (Kronecker), with
+    # operands of equal and of different precisions
+    [(_FAST_MUL_MIN_PRECISION - 1, _FAST_MUL_MIN_PRECISION + 6),
+     (_FAST_MUL_MIN_PRECISION, _FAST_MUL_MIN_PRECISION),
+     (_FAST_MUL_MIN_PRECISION + 2, _FAST_MUL_MIN_PRECISION)],
+)
+@settings(max_examples=2, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_mul_matches_fraction_oracle_at_the_cutoff(na, nb, seed, zero_share, fraction_share):
+    a = QExpansion(_seeded_coeffs(seed, na, zero_share, fraction_share), na)
+    b = QExpansion(_seeded_coeffs(seed + 1, nb, zero_share, 0.0), nb)
+    product = a * b
+    assert product.coeffs == _oracle_product(a.coeffs, b.coeffs)
+    assert (b * a).coeffs == product.coeffs
+    assert _canonical(product.coeffs)
+    assert (a * a).coeffs == _oracle_product(a.coeffs, a.coeffs)
+
+
+@pytest.mark.parametrize("n", [0, 5, _FAST_MUL_MIN_PRECISION - 1, _FAST_MUL_MIN_PRECISION])
+def test_mul_all_zero_operands(n):
+    zero = QExpansion.zero(n)
+    f = QExpansion([Fraction(i + 1, 3) for i in range(n + 1)], n)
+    assert (zero * f).coeffs == [0] * (n + 1)
+    assert (f * zero).coeffs == [0] * (n + 1)
+    assert (zero * zero).coeffs == [0] * (n + 1)
+    assert all(type(c) is int for c in (zero * f).coeffs)
+
+
+def _as_complex(c):
+    return c if isinstance(c, ComplexRational) else ComplexRational(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_coefficient, min_size=6, max_size=6),
+    st.lists(_coefficient, min_size=6, max_size=6),
+    _coefficient,
+    _coefficient,
+)
+def test_mul_with_complex_rationals_stays_exact(a, b, re, im):
+    z = ComplexRational(re, im)
+    f = QExpansion(a, 5)
+    # a complex scalar scales every coefficient exactly
+    assert (f * z).coeffs == [ComplexRational(c) * z for c in a]
+    assert (z * f).coeffs == (f * z).coeffs
+    # complex coefficients take the generic product; compare with the
+    # oracle applied to real and imaginary parts separately
+    g = QExpansion([ComplexRational(x, y) for x, y in zip(a, b)], 5)
+    h = QExpansion(b, 5)
+    re_part = _oracle_product(a, b)
+    im_part = _oracle_product(b, b)
+    assert [_as_complex(c) for c in (g * h).coeffs] == [
+        ComplexRational(x, y) for x, y in zip(re_part, im_part)
+    ]
