@@ -77,7 +77,7 @@ def _cmd_expand(args) -> int:
     series = form.expand(args.precision, constant_sign=args.constant_sign)
     if args.format == "csv":
         rows = [["n", "coefficient"]]
-        rows += [[n, str(Fraction(c))] for n, c in enumerate(series.coeffs)]
+        rows += enumerate(series.to_dict()["coeffs"])
         _emit(_csv_text(rows), args.output)
     else:
         _emit(series.to_json(indent=2), args.output)

@@ -17,7 +17,6 @@ __all__ = [
     "ComplexRational",
     "PrimeList",
     "bernoulli",
-    "sigma",
     "sigma_array",
     "primes_up_to",
     "prime_mask",
@@ -64,66 +63,12 @@ def bernoulli(k: int) -> Fraction:
 # Divisor-power sums
 # ---------------------------------------------------------------------------
 
-# smallest-prime-factor sieve, grown on demand
-_SPF: list[int] = [0, 1]
-
-
-def _grow_spf(limit: int) -> None:
-    global _SPF
-    if len(_SPF) > limit:
-        return
-    size = max(limit + 1, 2 * len(_SPF), 1 << 10)
-    spf = list(range(size))
-    for p in range(2, isqrt(size - 1) + 1):
-        if spf[p] == p:  # p prime
-            for m in range(p * p, size, p):
-                if spf[m] == m:
-                    spf[m] = p
-    _SPF = spf
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as [(p, exponent), ...], ascending."""
-    if n < 1:
-        raise ValueError(f"factorize: n must be >= 1, got {n}")
-    _grow_spf(n)
-    out = []
-    while n > 1:
-        p = _SPF[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def sigma(r: int, n: int) -> int:
-    """Divisor-power sum sigma_r(n) = sum of d^r over divisors d of n.
-
-    Computed from the prime factorization (smallest-prime-factor sieve),
-    multiplicative over prime powers: sigma_r(p^e) = 1 + p^r + ... + p^{er}.
-    """
-    if n < 1:
-        raise ValueError(f"sigma: n must be >= 1, got {n}")
-    if r < 0:
-        raise ValueError(f"sigma: r must be >= 0, got {r}")
-    total = 1
-    for p, e in factorize(n):
-        if r == 0:
-            total *= e + 1
-        else:
-            pr = p**r
-            total *= (pr ** (e + 1) - 1) // (pr - 1)
-    return total
-
 
 def sigma_array(r: int, n_max: int) -> list[int]:
     """[0, sigma_r(1), ..., sigma_r(n_max)]: all divisor-power sums at once.
 
-    Direct divisor accumulation, O(n_max log n_max) additions; much faster
-    than per-n factorization when a whole q-expansion is being built.
-    Index 0 is a placeholder 0.
+    Direct divisor accumulation, O(n_max log n_max) additions.  Index 0 is
+    a placeholder 0.
     """
     if n_max < 0:
         raise ValueError(f"sigma_array: n_max must be >= 0, got {n_max}")

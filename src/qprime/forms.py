@@ -87,44 +87,40 @@ def eisenstein_g(k: int, precision: int, constant_sign: str = "paper") -> QExpan
     return QExpansion([_intify(const)] + sig[1 : precision + 1], precision)
 
 
+# E_4 = 1 + 240 sum sigma_3(n) q^n and E_6 = 1 - 504 sum sigma_5(n) q^n;
+# the factor is -2k/B_k
+_NORMALIZED_FACTOR = {4: 240, 6: -504}
+
+
 def _eisenstein_normalized(k: int, precision: int) -> QExpansion:
-    # 1 - (2k/B_k) sum sigma_{k-1}(n) q^n; integer series for k in {4, 6}
-    factor = Fraction(-2 * k) / bernoulli(k)
+    factor = _NORMALIZED_FACTOR[k]
     sig = _sigma_list(k - 1, precision)
-    return QExpansion(
-        [1] + [_intify(factor * s) for s in sig[1 : precision + 1]], precision
-    )
+    return QExpansion([1] + [factor * s for s in sig[1 : precision + 1]], precision)
 
 
 # ---------------------------------------------------------------------------
 # the discriminant cusp form and cusp bases
 # ---------------------------------------------------------------------------
 
-# coefficients of prod_{n>=1} (1 - q^n)^24, grown on demand
+# coefficients of prod_{n>=1} (1 - q^n)^24 up to the largest n asked for
 _ETA24: list[int] = [1]
 
 
 def _eta24(n_max: int) -> list[int]:
-    g = _ETA24
-    if len(g) > n_max:
-        return g
-    # with h = prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} (sparse)
-    # and g = h^8, comparing q^n in D(g) h = 8 D(h) g gives
-    #     n g_n = sum_{j>=1} h_j (9j - n) g_{n-j}
-    support = []
-    j, k = 1, 1
-    while j <= n_max:
-        support.append((j, (-(2 * k + 1)) if k & 1 else (2 * k + 1)))
-        k += 1
-        j = k * (k + 1) // 2
-    for n in range(len(g), n_max + 1):
-        s = 0
-        for j, hj in support:
-            if j > n:
-                break
-            s += hj * (9 * j - n) * g[n - j]
-        g.append(s // n)
-    return g
+    global _ETA24
+    if len(_ETA24) <= n_max:
+        # h = prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi), and
+        # the product is h^8: three squarings
+        h = [0] * (n_max + 1)
+        k = 0
+        while k * (k + 1) // 2 <= n_max:
+            h[k * (k + 1) // 2] = -(2 * k + 1) if k & 1 else 2 * k + 1
+            k += 1
+        g = QExpansion(h, n_max)
+        for _ in range(3):
+            g = g * g
+        _ETA24 = g.coeffs
+    return _ETA24
 
 
 def delta(precision: int) -> QExpansion:
@@ -170,10 +166,11 @@ def cusp_basis(m: int, precision: int) -> list[QExpansion]:
 
 
 def _build_cusp_basis(m: int, precision: int) -> list[list]:
-    # delta times the weight-(m-12) monomials in the normalized weight-4
-    # and weight-6 series, then exact Gauss-Jordan on columns q^1, q^2, ...
-    e4 = _eisenstein_normalized(4, precision)
-    e6 = _eisenstein_normalized(6, precision)
+    # delta times the weight-(m-12) monomials E4^a E6^b in the normalized
+    # weight-4 and weight-6 series, then exact Gauss-Jordan on columns q^1,
+    # q^2, ...; the powers come from repeated squaring, shared by the rows
+    e4 = _normalized_powers(4, precision)
+    e6 = _normalized_powers(6, precision)
     dlt = delta(precision)
     rows = []
     r = m - 12
@@ -181,10 +178,11 @@ def _build_cusp_basis(m: int, precision: int) -> list[list]:
         if (r - 6 * b) % 4 != 0:
             continue
         form = dlt
-        for _ in range((r - 6 * b) // 4):
-            form = form * e4
-        for _ in range(b):
-            form = form * e6
+        a = (r - 6 * b) // 4
+        if a:
+            form = form * e4(a)
+        if b:
+            form = form * e6(b)
         rows.append(form.coeffs[1:])
     d = len(rows)
     for i in range(d):
@@ -200,6 +198,27 @@ def _build_cusp_basis(m: int, precision: int) -> list[list]:
                 f = rows[rr][i]
                 rows[rr] = [_intify(x - f * y) for x, y in zip(rows[rr], rows[i])]
     return [[0] + row for row in rows]
+
+
+def _normalized_powers(k: int, precision: int):
+    """e -> E_k^e at the given precision, by repeated squaring.
+
+    Every power built is kept for later calls, and E_k itself is built
+    only when a power is first asked for.
+    """
+    powers = {}
+
+    def power(e):
+        if e not in powers:
+            if e == 1:
+                powers[1] = _eisenstein_normalized(k, precision)
+            else:
+                root = power(e // 2)
+                square = root * root
+                powers[e] = square * power(1) if e & 1 else square
+        return powers[e]
+
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +378,10 @@ class QuasiForm:
             )
             terms.append((coeff, base.derivative(l)))
         for (m, i, l), coeff in sorted(self.cusp.items()):
-            terms.append((coeff, cusp_basis(m, precision)[i].derivative(l)))
+            # a basis needs a precision of at least its dimension; the sum
+            # truncates it back
+            basis = cusp_basis(m, max(precision, cusp_dim(m)))
+            terms.append((coeff, basis[i].derivative(l)))
         return linear_combination(terms, precision)
 
     # -- serialization ------------------------------------------------------

@@ -131,7 +131,6 @@ def coefficient_at_prime(form: QuasiForm, p: int):
     Deliberately does not share code with prime_polynomial: each is the
     other's oracle in the cross-check tests.
     """
-    keys = _eisenstein_keys(form)
     return sum((alpha * p**l * (1 + p ** (k - 1)) for (k, l), alpha in form.eis.items() if k != 0), 0)
 
 

@@ -17,6 +17,7 @@ coefficients take the generic coefficientwise route.
 from __future__ import annotations
 
 import json
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -26,8 +27,14 @@ from .exactnum import ComplexRational, integer_numerators, rationals_over
 __all__ = ["QExpansion", "linear_combination"]
 
 # products at or above this precision go through Kronecker substitution;
-# below it schoolbook convolution wins (and keeps small cases simple)
+# below it schoolbook convolution runs (and keeps small cases simple).  The
+# benchmark checks CLI output against expansions at q^300 that must take the
+# schoolbook path, independent of the Kronecker one; keep the cutoff above 300
 _FAST_MUL_MIN_PRECISION = 384
+
+# exact arithmetic for the Kronecker product, kept apart from the thread's
+# decimal context
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class QExpansion:
@@ -151,10 +158,8 @@ class QExpansion:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "coeffs": [str(Fraction(c)) for c in self.coeffs],
-        }
+        coeffs = [str(c) if type(c) is int else str(Fraction(c)) for c in self.coeffs]
+        return {"precision": self.precision, "coeffs": coeffs}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -224,38 +229,47 @@ def _mul_schoolbook(a, b, n: int):
 
 
 def _mul_kronecker(a, b, n: int):
-    """Exact product of two integer lists via Kronecker substitution.
+    """Product truncated at q^n of two integer lists, by Kronecker substitution.
 
-    The coefficients are split into positive and negative parts, packed
-    into huge integers with fixed-width limbs, and multiplied once per sign
-    pair; Python's big-int multiplication is subquadratic, which is what
-    makes precision ~10^4 products cheap.
+    Each list is packed once into a signed decimal number with base-10^w
+    limbs (a square packs once), and the two numbers are multiplied once
+    on a private exact decimal context; libmpdec multiplies huge operands
+    with a number-theoretic transform, where CPython ints stop at
+    Karatsuba.  Every coefficient of the full product lies strictly within
+    half a limb, so adding half a limb to every limb leaves each limb
+    nonnegative, and the coefficients are read back from the digits.
+    Decimal strings and conversions are not subject to the int/str digit
+    limit, so coefficients of any size pack.
     """
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-
-    width = _limb_width(max(ap + an), max(bp + bn), n + 1)
-    pp = _packed_mul(ap, bp, width, n)
-    nn = _packed_mul(an, bn, width, n)
-    pn = _packed_mul(ap, bn, width, n)
-    np_ = _packed_mul(an, bp, width, n)
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n + 1)]
-
-
-def _limb_width(max_a: int, max_b: int, length: int) -> int:
-    # any convolution coefficient is at most max_a * max_b * length
-    bound = max(max_a, 1) * max(max_b, 1) * length
-    return bound.bit_length() // 8 + 1
-
-
-def _packed_mul(a, b, width: int, n: int):
-    if not any(a) or not any(b):
-        return [0] * (n + 1)
-    pa = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    prod = (pa * pb).to_bytes(width * (len(a) + len(b)), "little")
+    bound = max(map(abs, a)) * max(map(abs, b)) * (n + 1)
+    # 10^w > 2 * bound, as 30103/100000 exceeds log10(2)
+    w = (2 * bound).bit_length() * 30103 // 100000 + 1
+    pa = _pack(a, w)
+    pb = pa if b is a else _pack(b, w)
+    halves = _EXACT.create_decimal("5".ljust(w, "0") * (2 * n + 1))
+    shifted = _EXACT.add(_EXACT.multiply(pa, pb), halves)
+    # the exponent is 0, so the string is the plain digits, most significant
+    # first: the low n + 1 limbs are its last w (n + 1) digits
+    size = w * (n + 1)
+    digits = str(shifted)[-size:].rjust(size, "0")
+    half = 5 * 10 ** (w - 1)
     return [
-        int.from_bytes(prod[i * width : (i + 1) * width], "little") for i in range(n + 1)
+        int(_EXACT.create_decimal(digits[i - w : i])) - half for i in range(size, 0, -w)
     ]
+
+
+def _pack(a, w: int) -> Decimal:
+    # sum of a[i] * 10^(w i): the nonnegative coefficients minus the
+    # magnitudes of the negative ones, each written in w digits
+    zero = "0" * w
+    pos, neg = [], []
+    for c in reversed(a):
+        if c < 0:
+            pos.append(zero)
+            neg.append(str(_EXACT.create_decimal(-c)).rjust(w, "0"))
+        else:
+            pos.append(str(_EXACT.create_decimal(c)).rjust(w, "0"))
+            neg.append(zero)
+    return _EXACT.subtract(
+        _EXACT.create_decimal("".join(pos)), _EXACT.create_decimal("".join(neg))
+    )

@@ -46,6 +46,24 @@ def test_expand_classical_convention(capsys):
     assert json.loads(out)["coeffs"][0] == "1/240"
 
 
+@pytest.mark.parametrize(
+    "spec, precision, coeffs",
+    # cusp forms below the dimension of their space: the basis is built at
+    # the dimension and truncated
+    [("S24.1", "1", ["0", "0"]), ("S24.0", "1", ["0", "1"]),
+     ("S40.2", "2", ["0", "0", "0"]), ("S40.1 + 2 S40.2", "1", ["0", "0"])],
+)
+def test_expand_cusp_form_below_its_dimension(capsys, spec, precision, coeffs):
+    code, out, err = run_cli(capsys, "expand", spec, "--precision", precision)
+    assert code == 0, err
+    assert json.loads(out)["coeffs"] == coeffs
+    code, out, _ = run_cli(
+        capsys, "expand", spec, "--precision", precision, "--format", "csv"
+    )
+    assert code == 0
+    assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == coeffs
+
+
 def test_expand_from_json_file(capsys, tmp_path):
     form = parse_form_spec("D G2 - 24 DELTA")
     path = tmp_path / "form.json"

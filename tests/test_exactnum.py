@@ -1,8 +1,9 @@
 """Oracle tests for the exact arithmetic helpers.
 
 Each nontrivial value is checked against an independent computation:
-Bernoulli numbers against their defining recurrence, sigma against brute
-divisor enumeration, the prime sieve against trial division.
+Bernoulli numbers against their defining recurrence, sigma_array against
+the factorization oracle (itself checked against brute divisor
+enumeration), the prime sieve against trial division.
 """
 
 from fractions import Fraction
@@ -10,13 +11,12 @@ from math import comb
 
 import pytest
 
+from oracles import factorize, sigma
 from qprime.exactnum import (
     ComplexRational,
     bernoulli,
-    factorize,
     prime_mask,
     primes_up_to,
-    sigma,
     sigma_array,
     solve_exact,
 )

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import qprime.forms as forms_module
-from qprime.exactnum import apply_factor, bernoulli, sigma, solve_exact
+from oracles import eta24_by_recurrence, sigma
+from qprime.exactnum import apply_factor, bernoulli, sigma_array, solve_exact
 from qprime.forms import (
     QuasiForm,
     cusp_basis,
@@ -104,6 +105,37 @@ def test_delta_coefficients_multiplicative():
                 assert d.coeffs[a * b] == d.coeffs[a] * d.coeffs[b], (a, b)
 
 
+def test_delta_against_eisenstein_identity_past_the_cutoff():
+    # the same identity where every product runs through Kronecker substitution
+    n = 1000
+    e4 = _e_normalized(4, n)
+    e6 = _e_normalized(6, n)
+    assert (1728 * delta(n)).coeffs == (e4 * e4 * e4 - e6 * e6).coeffs
+
+
+def test_delta_matches_the_recurrence_oracle():
+    assert delta(2000).coeffs == [0] + eta24_by_recurrence(1999)
+
+
+def test_ramanujan_congruence_mod_691():
+    # tau(n) = sigma_11(n) (mod 691) for every n
+    n = 10**4
+    tau = delta(n).coeffs
+    sig = sigma_array(11, n)
+    assert all((tau[m] - sig[m]) % 691 == 0 for m in range(1, n + 1))
+
+
+def test_eta24_cache_grown_in_two_steps_equals_a_fresh_build(monkeypatch):
+    # first below the Kronecker cutoff, then above it
+    monkeypatch.setattr(forms_module, "_ETA24", [1])
+    small = delta(100).coeffs
+    grown = delta(1500).coeffs
+    assert len(forms_module._ETA24) == 1500
+    assert delta(100).coeffs == small == grown[:101]
+    monkeypatch.setattr(forms_module, "_ETA24", [1])
+    assert delta(1500).coeffs == grown
+
+
 def test_delta_requires_positive_precision():
     with pytest.raises(ValueError):
         delta(0)
@@ -162,6 +194,30 @@ def test_cusp_basis_spans_the_monomials():
     assert sol is not None
     recon = sol[0] * basis[0] + sol[1] * basis[1]
     assert recon.coeffs == target.coeffs
+
+
+@pytest.mark.parametrize("m", [36, 40, 48])
+def test_cusp_basis_spans_every_monomial_past_the_cutoff(m):
+    # the basis shares repeated squares of E_4 and E_6 across its rows; each
+    # delta * E_4^a * E_6^b, multiplied out one factor at a time, must be an
+    # exact combination of it
+    n = 200
+    basis = cusp_basis(m, n)
+    e4 = _e_normalized(4, n)
+    e6 = _e_normalized(6, n)
+    rows = [[b.coeffs[i] for b in basis] for i in range(n + 1)]
+    r = m - 12
+    for b in range(r // 6 + 1):
+        if (r - 6 * b) % 4:
+            continue
+        target = delta(n)
+        for _ in range((r - 6 * b) // 4):
+            target = target * e4
+        for _ in range(b):
+            target = target * e6
+        sol = solve_exact(rows, target.coeffs)
+        assert sol is not None, (m, b)
+        assert target.coeffs[1 : len(basis) + 1] == sol
 
 
 def test_cusp_basis_rejects_odd_weight_and_tiny_precision():

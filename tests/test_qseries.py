@@ -5,7 +5,9 @@ random inputs, and the ring axioms are exercised with seeded random
 series rather than hand-picked ones.
 """
 
+import decimal
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,11 +185,15 @@ def test_truncate():
 
 
 def _oracle_product(a, b):
-    """Schoolbook product over Fraction, truncated to the shorter operand."""
+    """Schoolbook product over Fraction, truncated to the shorter operand.
+
+    Integer coefficients stay ints (a Fraction with denominator 1 compares
+    equal to them), which keeps the oracle fast on integer series.
+    """
     n = min(len(a), len(b)) - 1
-    a = [Fraction(c) for c in a[: n + 1]]
-    b = [Fraction(c) for c in b[: n + 1]]
-    out = [Fraction(0)] * (n + 1)
+    a = [c if type(c) is int else Fraction(c) for c in a[: n + 1]]
+    b = [c if type(c) is int else Fraction(c) for c in b[: n + 1]]
+    out = [0] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
             out[i + j] += a[i] * b[j]
@@ -267,6 +273,91 @@ def test_mul_all_zero_operands(n):
     assert (f * zero).coeffs == [0] * (n + 1)
     assert (zero * zero).coeffs == [0] * (n + 1)
     assert all(type(c) is int for c in (zero * f).coeffs)
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(_FAST_MUL_MIN_PRECISION, _FAST_MUL_MIN_PRECISION + 8),
+    st.sampled_from(["mixed", "negative", "positive"]),
+    st.booleans(),
+)
+def test_mul_matches_fraction_oracle_with_huge_coefficients(seed, n, signs, fractions):
+    # one coefficient in ten has 4300 to 4400 digits, past the default
+    # int/str conversion limit, so the limbs are that wide too
+    rng = random.Random(seed)
+
+    def coeff():
+        digits = rng.randint(4300, 4400) if rng.random() < 0.1 else rng.randint(1, 30)
+        c = rng.randrange(10 ** (digits - 1), 10**digits)
+        if signs == "negative" or (signs == "mixed" and rng.random() < 0.5):
+            c = -c
+        if fractions and rng.random() < 0.2:
+            return Fraction(c, rng.randint(1, 30))
+        return c
+
+    a = QExpansion([coeff() for _ in range(n + 1)], n)
+    b = QExpansion([coeff() for _ in range(n + 3)], n + 2)
+    assert (a * b).coeffs == _oracle_product(a.coeffs, b.coeffs)
+    assert (a * a).coeffs == _oracle_product(a.coeffs, a.coeffs)
+
+
+def test_kronecker_ignores_the_int_str_digit_limit():
+    # 700-digit coefficients, against the lowest limit an interpreter allows
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        n = _FAST_MUL_MIN_PRECISION
+        big = 10**700
+        a = [big + i for i in range(n + 1)]
+        b = [-big + i for i in range(n + 1)]
+        product = _mul_kronecker(a, b, n)
+        square = _mul_kronecker(a, a, n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert product == _mul_schoolbook(a, b, n)
+    assert square == _mul_schoolbook(a, a, n)
+
+
+@pytest.mark.parametrize("n", [_FAST_MUL_MIN_PRECISION, 1000])
+def test_mul_signs_and_sparse_operands(n):
+    rng = random.Random(n)
+    negative = QExpansion([-rng.randint(1, 10**40) for _ in range(n + 1)], n)
+    other_negative = QExpansion([-rng.randint(1, 10**9) for _ in range(n + 1)], n)
+    top = QExpansion([0] * n + [-(10**30)], n)
+    constant = QExpansion([7] + [0] * n, n)
+    pairs = [(negative, other_negative), (negative, negative), (negative, top),
+             (top, top), (top, constant), (constant, negative)]
+    for a, b in pairs:
+        product = (a * b).coeffs
+        assert product == _oracle_product(a.coeffs, b.coeffs)
+        assert all(type(c) is int for c in product)
+    # a single nonzero top coefficient only reaches q^n times a constant
+    assert (top * top).coeffs == [0] * (n + 1)
+    assert (top * constant).coeffs == [0] * n + [-7 * 10**30]
+
+
+def test_kronecker_leaves_the_decimal_context_alone():
+    def state(ctx):
+        return (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, ctx.capitals, ctx.clamp,
+                dict(ctx.flags), dict(ctx.traps))
+
+    n = 600
+    f = QExpansion([(-1) ** i * 10**50 * (i + 1) for i in range(n + 1)], n)
+    g = QExpansion([Fraction(i, 7) for i in range(n + 1)], n)
+    # a thread context that would round or trap on any product run through it
+    with decimal.localcontext() as context:
+        context.prec = 3
+        context.Emax = 9
+        context.traps[decimal.Inexact] = True
+        context.traps[decimal.Rounded] = True
+        before = state(context)
+        assert (f * g).coeffs == _oracle_product(f.coeffs, g.coeffs)
+        assert (f * f).coeffs == _oracle_product(f.coeffs, f.coeffs)
+        assert decimal.getcontext() is context
+        assert state(context) == before
 
 
 def _as_complex(c):
