@@ -28,6 +28,7 @@ from .exactnum import (
     apply_factor,
     bernoulli,
     factor_exact,
+    rationals_over,
     sigma_array,
 )
 from .qseries import QExpansion, linear_combination
@@ -87,15 +88,13 @@ def eisenstein_g(k: int, precision: int, constant_sign: str = "paper") -> QExpan
     return QExpansion([_intify(const)] + sig[1 : precision + 1], precision)
 
 
-# E_4 = 1 + 240 sum sigma_3(n) q^n and E_6 = 1 - 504 sum sigma_5(n) q^n;
-# the factor is -2k/B_k
-_NORMALIZED_FACTOR = {4: 240, 6: -504}
-
-
-def _eisenstein_normalized(k: int, precision: int) -> QExpansion:
-    factor = _NORMALIZED_FACTOR[k]
+def _eisenstein_integral(k: int, precision: int) -> QExpansion:
+    # d E_k with integer coefficients, for E_k = -B_k/(2k) + sum
+    # sigma_{k-1}(n) q^n and d the denominator of B_k/(2k)
+    const = -bernoulli(k) / (2 * k)
+    d = const.denominator
     sig = _sigma_list(k - 1, precision)
-    return QExpansion([1] + [factor * s for s in sig[1 : precision + 1]], precision)
+    return QExpansion([const.numerator] + [d * s for s in sig[1 : precision + 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +108,23 @@ _ETA24: list[int] = [1]
 def _eta24(n_max: int) -> list[int]:
     global _ETA24
     if len(_ETA24) <= n_max:
-        # h = prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi), and
-        # the product is h^8: three squarings
-        h = [0] * (n_max + 1)
+        # h = prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} (Jacobi), so
+        # h^2 is a double sum over pairs of triangular numbers, and the
+        # product is h^8: two squarings of h^2
+        terms = []
         k = 0
         while k * (k + 1) // 2 <= n_max:
-            h[k * (k + 1) // 2] = -(2 * k + 1) if k & 1 else 2 * k + 1
+            terms.append((k * (k + 1) // 2, -(2 * k + 1) if k & 1 else 2 * k + 1))
             k += 1
-        g = QExpansion(h, n_max)
-        for _ in range(3):
-            g = g * g
-        _ETA24 = g.coeffs
+        h2 = [0] * (n_max + 1)
+        for t, c in terms:
+            for u, e in terms:
+                if t + u > n_max:
+                    break
+                h2[t + u] += c * e
+        g = QExpansion(h2, n_max)
+        g = g * g
+        _ETA24 = (g * g).coeffs
     return _ETA24
 
 
@@ -166,59 +171,27 @@ def cusp_basis(m: int, precision: int) -> list[QExpansion]:
 
 
 def _build_cusp_basis(m: int, precision: int) -> list[list]:
-    # delta times the weight-(m-12) monomials E4^a E6^b in the normalized
-    # weight-4 and weight-6 series, then exact Gauss-Jordan on columns q^1,
-    # q^2, ...; the powers come from repeated squaring, shared by the rows
-    e4 = _normalized_powers(4, precision)
-    e6 = _normalized_powers(6, precision)
+    # Miller's rows Delta^{j+1} E_{m-12-12j} (no weight 2), one product each
+    # on powers of Delta shared by the rows.  Row j starts p_j q^{j+1}, p_j
+    # the constant of d E_k (1 for E_0), so clearing the columns from the
+    # last one back by integer row operations and dividing each row by its
+    # pivot gives the echelon basis
     dlt = delta(precision)
+    power = dlt
     rows = []
-    r = m - 12
-    for b in range(r // 6 + 1):
-        if (r - 6 * b) % 4 != 0:
-            continue
-        form = dlt
-        a = (r - 6 * b) // 4
-        if a:
-            form = form * e4(a)
-        if b:
-            form = form * e6(b)
-        rows.append(form.coeffs[1:])
-    d = len(rows)
-    for i in range(d):
-        piv = next((rr for rr in range(i, d) if rows[rr][i] != 0), None)
-        if piv is None:
-            raise RuntimeError(f"cusp_basis: echelon pivot missing at weight {m}")
-        rows[i], rows[piv] = rows[piv], rows[i]
-        pv = rows[i][i]
-        if pv != 1:
-            rows[i] = [_intify(Fraction(x, 1) / pv) for x in rows[i]]
-        for rr in range(d):
-            if rr != i and rows[rr][i] != 0:
-                f = rows[rr][i]
-                rows[rr] = [_intify(x - f * y) for x, y in zip(rows[rr], rows[i])]
-    return [[0] + row for row in rows]
-
-
-def _normalized_powers(k: int, precision: int):
-    """e -> E_k^e at the given precision, by repeated squaring.
-
-    Every power built is kept for later calls, and E_k itself is built
-    only when a power is first asked for.
-    """
-    powers = {}
-
-    def power(e):
-        if e not in powers:
-            if e == 1:
-                powers[1] = _eisenstein_normalized(k, precision)
-            else:
-                root = power(e // 2)
-                square = root * root
-                powers[e] = square * power(1) if e & 1 else square
-        return powers[e]
-
-    return power
+    # weight 2 can only come last, so row j is built on Delta^{j+1}
+    for j, k in enumerate(k for k in range(m - 12, -1, -12) if k != 2):
+        if j:
+            power = power * dlt
+        row = power * _eisenstein_integral(k, precision) if k else power
+        rows.append(row.coeffs)
+    for j in reversed(range(len(rows))):
+        pj = rows[j][j + 1]
+        for i in range(j):
+            f = rows[i][j + 1]
+            if f:
+                rows[i] = [pj * x - f * y for x, y in zip(rows[i], rows[j])]
+    return [rationals_over(row, row[i + 1]) for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,8 @@ def omega_scan(
     """
     if n_max < 2:
         raise ValueError(f"omega_scan: scan bound must be >= 2, got {n_max}")
+    if max_violations < 0:
+        raise ValueError(f"omega_scan: max_violations must be >= 0, got {max_violations}")
     coeffs = form.expand(n_max, constant_sign=constant_sign).coeffs
     mask = prime_mask(n_max)
     start = 0 if include_small else 2

@@ -17,7 +17,7 @@ coefficients take the generic coefficientwise route.
 from __future__ import annotations
 
 import json
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -35,6 +35,11 @@ _FAST_MUL_MIN_PRECISION = 384
 # exact arithmetic for the Kronecker product, kept apart from the thread's
 # decimal context
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# the lowest int/str digit limit an interpreter accepts
+# (sys.int_info.str_digits_check_threshold): a Kronecker limb of at most
+# this many digits converts through str and int under every limit
+_STR_DIGITS = 640
 
 
 class QExpansion:
@@ -231,45 +236,46 @@ def _mul_schoolbook(a, b, n: int):
 def _mul_kronecker(a, b, n: int):
     """Product truncated at q^n of two integer lists, by Kronecker substitution.
 
-    Each list is packed once into a signed decimal number with base-10^w
+    Each list is packed once into a decimal number with base-10^(w+1)
     limbs (a square packs once), and the two numbers are multiplied once
     on a private exact decimal context; libmpdec multiplies huge operands
     with a number-theoretic transform, where CPython ints stop at
-    Karatsuba.  Every coefficient of the full product lies strictly within
-    half a limb, so adding half a limb to every limb leaves each limb
-    nonnegative, and the coefficients are read back from the digits.
-    Decimal strings and conversions are not subject to the int/str digit
-    limit, so coefficients of any size pack.
+    Karatsuba.  Every coefficient c of either operand or of the full
+    product satisfies |c| < 10^w, so c + 5*10^w has exactly w+1 digits: a
+    limb is written and read with that offset, and the packed operands
+    and the product take the offsets off and put them back in one
+    addition each.  Limbs convert through str and int while they fit under
+    every int/str digit limit an interpreter allows, and through Decimal
+    beyond it, so coefficients of any size pack.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * (n + 1)
-    # 10^w > 2 * bound, as 30103/100000 exceeds log10(2)
-    w = (2 * bound).bit_length() * 30103 // 100000 + 1
-    pa = _pack(a, w)
-    pb = pa if b is a else _pack(b, w)
-    halves = _EXACT.create_decimal("5".ljust(w, "0") * (2 * n + 1))
-    shifted = _EXACT.add(_EXACT.multiply(pa, pb), halves)
-    # the exponent is 0, so the string is the plain digits, most significant
-    # first: the low n + 1 limbs are its last w (n + 1) digits
-    size = w * (n + 1)
-    digits = str(shifted)[-size:].rjust(size, "0")
-    half = 5 * 10 ** (w - 1)
-    return [
-        int(_EXACT.create_decimal(digits[i - w : i])) - half for i in range(size, 0, -w)
-    ]
+    if not bound:
+        # a zero operand: the other one need not fit any limb
+        return [0] * (n + 1)
+    # 10^w > bound, as 30103/100000 exceeds log10(2)
+    w = bound.bit_length() * 30103 // 100000 + 1
+    half = 5 * 10**w
+    if w < _STR_DIGITS:
+        to_str, to_int = str, int
+    else:
+        def to_str(c):
+            return str(_EXACT.create_decimal(c))
 
+        def to_int(s):
+            return int(_EXACT.create_decimal(s))
 
-def _pack(a, w: int) -> Decimal:
-    # sum of a[i] * 10^(w i): the nonnegative coefficients minus the
-    # magnitudes of the negative ones, each written in w digits
-    zero = "0" * w
-    pos, neg = [], []
-    for c in reversed(a):
-        if c < 0:
-            pos.append(zero)
-            neg.append(str(_EXACT.create_decimal(-c)).rjust(w, "0"))
-        else:
-            pos.append(str(_EXACT.create_decimal(c)).rjust(w, "0"))
-            neg.append(zero)
-    return _EXACT.subtract(
-        _EXACT.create_decimal("".join(pos)), _EXACT.create_decimal("".join(neg))
-    )
+    offsets = ("5" + "0" * w) * (2 * n + 1)
+    size = (w + 1) * (n + 1)
+    low_offsets = _EXACT.create_decimal(offsets[:size])
+
+    def pack(c):
+        digits = "".join([to_str(x + half) for x in reversed(c)])
+        return _EXACT.subtract(_EXACT.create_decimal(digits), low_offsets)
+
+    pa = pack(a)
+    pb = pa if b is a else pack(b)
+    shifted = _EXACT.add(_EXACT.multiply(pa, pb), _EXACT.create_decimal(offsets))
+    # the exponent is 0 and every limb has w+1 digits, so the string is the
+    # plain digits, most significant first: the low n + 1 limbs are its tail
+    digits = str(shifted)[-size:]
+    return [to_int(digits[i - w - 1 : i]) - half for i in range(size, 0, -w - 1)]

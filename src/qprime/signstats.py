@@ -170,7 +170,7 @@ class SignStatsReport:
 def partial_sum_report(form: QuasiForm, x_max: int, grid=None) -> SignStatsReport:
     """Sum c_F(p) and c_F(p)^2 over p <= x for each grid value x.
 
-    Grid values must not exceed x_max; they are deduplicated and sorted.
+    Grid values must lie in 0..x_max; they are deduplicated and sorted.
     Sums are exact; the normalized column is attached only for cusp-only
     nonzero forms, where a growth exponent beta0 exists.
     """
@@ -179,6 +179,8 @@ def partial_sum_report(form: QuasiForm, x_max: int, grid=None) -> SignStatsRepor
     grid = sorted(set(grid))
     if grid and grid[-1] > x_max:
         raise ValueError(f"grid point {grid[-1]} exceeds the bound {x_max}")
+    if grid and grid[0] < 0:
+        raise ValueError(f"grid point {grid[0]} is negative")
     pairs = prime_coefficients(form, x_max)
     sign_changes = count_sign_changes(v for _, v in pairs)
 

@@ -1,12 +1,18 @@
 """Independent slow paths that the tests compare the library against.
 
 None of this is used by qprime itself: divisor sums from a prime
-factorization (smallest-prime-factor sieve) check sigma_array, and the
+factorization (smallest-prime-factor sieve) check sigma_array, the
 coefficients of prod (1 - q^n)^24 from a sparse linear recurrence check
-the squaring path behind delta.
+the squaring path behind delta, and cusp bases from the monomials
+E4^a E6^b reduced over Fraction check the integer echelon of Miller's
+basis behind cusp_basis.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+
+from qprime.qseries import QExpansion
 
 # smallest-prime-factor sieve, grown on demand
 _SPF: list[int] = [0, 1]
@@ -83,3 +89,49 @@ def eta24_by_recurrence(n_max: int) -> list[int]:
             s += hj * (9 * j - n) * g[n - j]
         g.append(s // n)
     return g
+
+
+@lru_cache(maxsize=None)
+def _e4_e6_power(k: int, e: int, precision: int) -> QExpansion:
+    # E_k^e for k in (4, 6), E_4 = 1 + 240 sum sigma_3(n) q^n and
+    # E_6 = 1 - 504 sum sigma_5(n) q^n, by successive products
+    if e == 0:
+        return QExpansion.one(precision)
+    factor = 240 if k == 4 else -504
+    e_k = QExpansion(
+        [1] + [factor * sigma(k - 1, n) for n in range(1, precision + 1)], precision
+    )
+    return _e4_e6_power(k, e - 1, precision) * e_k
+
+
+def cusp_basis_by_gauss_jordan(m: int, precision: int) -> list[list]:
+    """Echelon basis of the weight-m cusp space, as coefficient lists.
+
+    The rows are Delta E4^a E6^b over the monomials of weight m - 12,
+    reduced by Gauss-Jordan elimination over Fraction on the columns
+    q^1, q^2, ...; an entry whose denominator is 1 comes back as an int.
+    """
+    dlt = QExpansion([0] + eta24_by_recurrence(precision - 1), precision)
+    rows = []
+    r = m - 12
+    for b in range(r // 6 + 1):
+        if (r - 6 * b) % 4 == 0:
+            a = (r - 6 * b) // 4
+            form = dlt * _e4_e6_power(4, a, precision) * _e4_e6_power(6, b, precision)
+            rows.append(form.coeffs[1:])
+    d = len(rows)
+    for i in range(d):
+        piv = next(rr for rr in range(i, d) if rows[rr][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        pv = rows[i][i]
+        if pv != 1:
+            rows[i] = [_intify(Fraction(x, 1) / pv) for x in rows[i]]
+        for rr in range(d):
+            if rr != i and rows[rr][i] != 0:
+                f = rows[rr][i]
+                rows[rr] = [_intify(x - f * y) for x, y in zip(rows[rr], rows[i])]
+    return [[0] + row for row in rows]
+
+
+def _intify(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -107,6 +108,15 @@ def test_decide_eisenstein_witness(capsys):
     assert data["verdict"]["witness"]["type"] == "prime"
 
 
+def test_decide_rejects_negative_max_violations(capsys):
+    code, out, err = run_cli(
+        capsys, "decide", "G4", "--bound", "50", "--max-violations", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "max_violations" in err
+
+
 def test_decide_cusp_witness(capsys):
     code, out, _ = run_cli(capsys, "decide", "DELTA", "--bound", "50")
     assert code == 1
@@ -172,6 +182,13 @@ def test_signstats_grid_and_plot_data(capsys):
     assert lines[0] == "x,normalized_sq"
     assert len(lines) == 4
     assert [line.split(",")[0] for line in lines[1:]] == ["10", "50", "100"]
+
+
+def test_signstats_rejects_negative_grid_point(capsys):
+    code, out, err = run_cli(capsys, "signstats", "DELTA", "--bound", "100", "--grid", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "negative" in err
 
 
 def test_signstats_plot_data_needs_cusp_form(capsys):
@@ -316,3 +333,26 @@ def test_signstats_normalized_overflow_is_null(capsys):
     assert isinstance(data["normalized_sq"][1][1], float)
     assert data["normalized_sq"][2][1] is None
     assert int(data["partial_sum_sq"][2][1]).bit_length() > 1024
+
+
+# SHA-256 of the standard output of the previous release for big cusp
+# expansions and scans; the series products behind them must not move a byte
+_PINNED_OUTPUTS = [
+    (["expand", "S40.1", "--precision", "1600"],
+     "1a16d711d0c8441c0cbea883b931e1705f67408b51293501723fe1a3e7b6358b"),
+    (["expand", "S36.2", "--precision", "1900"],
+     "4b31a43f80ef068167814b8103f2a248845bff2451592daafa2629c4363bc313"),
+    (["deligne", "--weight", "26", "--bound", "5000"],
+     "5f2baeae1901d05894488dd1b182cad4a9ee04ae7d32505e900d1db440ef830b"),
+    (["signstats", "3 S28.1 - 2 D DELTA", "--bound", "3000"],
+     "101175bf40d90f2d254c7749423225c138e994cf91f6552f2e025b3461030994"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _PINNED_OUTPUTS, ids=["S40.1", "S36.2", "deligne26", "signstats28"]
+)
+def test_big_series_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

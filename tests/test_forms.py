@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import qprime.forms as forms_module
-from oracles import eta24_by_recurrence, sigma
+from oracles import cusp_basis_by_gauss_jordan, eta24_by_recurrence, sigma
 from qprime.exactnum import apply_factor, bernoulli, sigma_array, solve_exact
 from qprime.forms import (
     QuasiForm,
@@ -198,7 +198,7 @@ def test_cusp_basis_spans_the_monomials():
 
 @pytest.mark.parametrize("m", [36, 40, 48])
 def test_cusp_basis_spans_every_monomial_past_the_cutoff(m):
-    # the basis shares repeated squares of E_4 and E_6 across its rows; each
+    # the basis is built from Miller's rows Delta^{j+1} E_{m-12-12j}; each
     # delta * E_4^a * E_6^b, multiplied out one factor at a time, must be an
     # exact combination of it
     n = 200
@@ -218,6 +218,22 @@ def test_cusp_basis_spans_every_monomial_past_the_cutoff(m):
         sol = solve_exact(rows, target.coeffs)
         assert sol is not None, (m, b)
         assert target.coeffs[1 : len(basis) + 1] == sol
+
+
+@pytest.mark.parametrize("n", [100, 400, 1000])
+def test_cusp_basis_matches_the_gauss_jordan_oracle(monkeypatch, n):
+    # Miller's rows with integer back-substitution against the monomials
+    # Delta E4^a E6^b with Gauss-Jordan over Fraction: the echelon basis is
+    # unique, so values and types must agree, on both sides of the
+    # Kronecker cutoff
+    for m in range(12, 74, 2):
+        monkeypatch.setattr(forms_module, "_CUSP_CACHE", {})
+        basis = cusp_basis(m, n)
+        assert len(basis) == cusp_dim(m), m
+        expected = cusp_basis_by_gauss_jordan(m, n)
+        assert [[(type(c), c) for c in f.coeffs] for f in basis] == [
+            [(type(c), c) for c in row] for row in expected
+        ], m
 
 
 def test_cusp_basis_rejects_odd_weight_and_tiny_precision():

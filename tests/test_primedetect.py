@@ -246,6 +246,15 @@ def test_omega_scan_rejects_tiny_bound():
         omega_scan(hk_quasiform(6), 1)
 
 
+def test_omega_scan_rejects_negative_violation_cap():
+    # a negative cap would list no violation next to a nonzero total
+    with pytest.raises(ValueError, match="max_violations"):
+        omega_scan(QuasiForm(eis={(4, 0): 1}), 50, max_violations=-1)
+    report = omega_scan(QuasiForm(eis={(4, 0): 1}), 50, max_violations=0)
+    assert report.violations == ()
+    assert report.total_violations > 0
+
+
 # -- membership decision ----------------------------------------------------
 
 

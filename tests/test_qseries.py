@@ -134,6 +134,10 @@ def test_kronecker_matches_schoolbook():
 def test_kronecker_edge_cases():
     assert _mul_kronecker([0, 0, 0], [1, 2, 3], 2) == [0, 0, 0]
     assert _mul_kronecker([1], [1], 0) == [1]
+    # a zero operand times coefficients past the default int/str digit limit
+    huge = [10**5000, -(10**5000), 1]
+    assert _mul_kronecker([0, 0, 0], huge, 2) == [0, 0, 0]
+    assert _mul_kronecker(huge, [0, 0, 0], 2) == [0, 0, 0]
     # huge coefficients must not overflow the limb width
     big = 10**40
     assert _mul_kronecker([big, -big], [big, big], 1) == [big * big, 0]
@@ -319,6 +323,42 @@ def test_kronecker_ignores_the_int_str_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert product == _mul_schoolbook(a, b, n)
     assert square == _mul_schoolbook(a, a, n)
+
+
+def _limb_digits(a, b, n):
+    # the limb width _mul_kronecker picks: w + 1 digits with 10^w above
+    # max|a| * max|b| * (n + 1), found through 30103/100000 > log10(2)
+    bound = max(map(abs, a)) * max(map(abs, b)) * (n + 1)
+    return bound.bit_length() * 30103 // 100000 + 2
+
+
+@pytest.mark.parametrize("digits", [639, 640, 641])
+def test_kronecker_limbs_around_the_lowest_digit_limit(digits):
+    # limbs of 640 digits convert through str and int under the lowest limit
+    # an interpreter allows, limbs of 641 through Decimal
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    rng = random.Random(digits)
+    n = 6
+    b = [rng.randrange(-(2**1000), 2**1000) for _ in range(n + 1)]
+    bits = next(t for t in range(1, 4400) if _limb_digits([2**t], b, n) == digits)
+    top = 2**bits
+    a = [rng.choice((-1, 1)) * rng.randrange(top) for _ in range(n)] + [-top]
+    square_bits = next(t for t in range(1, 4400) if _limb_digits([2**t], [2**t], n) == digits)
+    top = 2**square_bits
+    s = [rng.choice((-1, 1)) * rng.randrange(top) for _ in range(n)] + [top]
+    rng.shuffle(s)
+    assert _limb_digits(a, b, n) == _limb_digits(s, s, n) == digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        product = _mul_kronecker(a, b, n)
+        swapped = _mul_kronecker(b, a, n)
+        square = _mul_kronecker(s, s, n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert product == swapped == _oracle_product(a, b)
+    assert square == _oracle_product(s, s)
 
 
 @pytest.mark.parametrize("n", [_FAST_MUL_MIN_PRECISION, 1000])

@@ -138,6 +138,9 @@ def test_report_normalized_only_for_cusp_forms():
 def test_report_grid_validation():
     with pytest.raises(ValueError):
         partial_sum_report(DELTA_FORM, 100, grid=[10, 200])
+    with pytest.raises(ValueError, match="negative"):
+        partial_sum_report(DELTA_FORM, 100, grid=[-3, 10])
+    assert partial_sum_report(DELTA_FORM, 100, grid=[0]).partial_sum == ((0, 0),)
 
 
 def test_report_serialization():
