@@ -1,7 +1,7 @@
 """Exact arithmetic for level-one quasimodular forms and prime-detecting
 coefficient combinations."""
 
-from .decompose import DecompositionResult, split_eis_cusp, split_realified
+from .decompose import DecompositionResult, split_eis_cusp
 from .formspec import FormSpecError, parse_form_spec
 from .forms import (
     QuasiForm,
@@ -74,6 +74,5 @@ __all__ = [
     "quasiform_expand",
     "relation_value",
     "split_eis_cusp",
-    "split_realified",
     "__version__",
 ]

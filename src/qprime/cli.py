@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Every subcommand reads a form either from the mini-grammar (see
-formspec) or from a path to a QuasiForm JSON file, and emits JSON or CSV
-with all rationals as "num/den" strings.  Exit codes are a stable
-contract: 0 success, 1 when a check's verdict is negative (Not, a failed
-scan, an unproven finite check), 2 on usage or parse errors.
+formspec) or, when the grammar rejects the argument, from a path to a
+QuasiForm JSON file, and emits JSON or CSV with all rationals as
+"num/den" strings.  Exit codes are a stable contract: 0 success, 1 when
+a check's verdict is negative (Not, a failed scan, an unproven finite
+check), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .decompose import split_eis_cusp
 from .exactnum import first_primes
@@ -36,10 +36,15 @@ __all__ = ["main", "run"]
 
 
 def _load_form(spec: str) -> QuasiForm:
-    if os.path.isfile(spec):
-        with open(spec) as fh:
-            return QuasiForm.from_json(fh.read())
-    return parse_form_spec(spec)
+    # the grammar first, so that a file named like a form (G4) cannot
+    # shadow it; "./G4" is no form spec and reaches the file
+    try:
+        return parse_form_spec(spec)
+    except FormSpecError:
+        if not os.path.isfile(spec):
+            raise
+    with open(spec) as fh:
+        return QuasiForm.from_json(fh.read())
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -92,9 +97,9 @@ def _cmd_decompose(args) -> int:
     if args.format == "csv":
         rows = [["part", "weight", "index", "derivative", "coefficient"]]
         for (k, l), value in sorted(result.eis_part.eis.items()):
-            rows.append(["eis", k, "", l, str(Fraction(value))])
+            rows.append(["eis", k, "", l, str(value)])
         for (m, i, l), value in sorted(result.cusp_part.cusp.items()):
-            rows.append(["cusp", m, i, l, str(Fraction(value))])
+            rows.append(["cusp", m, i, l, str(value)])
         _emit(_csv_text(rows), args.output)
     else:
         _emit(result.to_json(indent=2), args.output)
@@ -189,7 +194,7 @@ def _cmd_signstats(args) -> int:
         rows = [["x", "partial_sum", "partial_sum_sq", "normalized_sq"]]
         norm = dict(report.normalized_sq)
         for (x, s), (_, sq) in zip(report.partial_sum, report.partial_sum_sq):
-            rows.append([x, str(Fraction(s)), str(Fraction(sq)), norm.get(x, "")])
+            rows.append([x, str(s), str(sq), norm.get(x, "")])
         _emit(_csv_text(rows), args.output)
     else:
         _emit(report.to_json(indent=2), args.output)

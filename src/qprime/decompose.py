@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exactnum import ComplexRational
 from .forms import QuasiForm, from_monomials
 
-__all__ = ["DecompositionResult", "split_eis_cusp", "split_realified"]
+__all__ = ["DecompositionResult", "split_eis_cusp"]
 
 
 @dataclass(frozen=True)
@@ -65,22 +64,3 @@ def split_eis_cusp(form, certificate_precision: int = 60) -> DecompositionResult
     if lhs != form.expand(certificate_precision):
         raise ValueError("split_eis_cusp: parts fail to reconstruct the input")
     return DecompositionResult(eis_part, cusp_part, certificate_precision)
-
-
-def split_realified(form: QuasiForm) -> tuple[QuasiForm, QuasiForm]:
-    """Write a complex-coefficient form as F_Re + i F_Im, both real."""
-
-    def parts(value):
-        if isinstance(value, ComplexRational):
-            return value.re, value.im
-        return value, 0
-
-    eis_re, eis_im, cusp_re, cusp_im = {}, {}, {}, {}
-    for key, value in form.eis.items():
-        eis_re[key], eis_im[key] = parts(value)
-    for key, value in form.cusp.items():
-        cusp_re[key], cusp_im[key] = parts(value)
-    return (
-        QuasiForm(eis=eis_re, cusp=cusp_re),
-        QuasiForm(eis=eis_im, cusp=cusp_im),
-    )

@@ -14,7 +14,6 @@ from operator import mul
 
 __all__ = [
     "Fraction",
-    "ComplexRational",
     "PrimeList",
     "bernoulli",
     "sigma_array",
@@ -158,93 +157,6 @@ def first_primes(count: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact complex rationals
-# ---------------------------------------------------------------------------
-
-
-class ComplexRational:
-    """Exact complex number with Fraction real and imaginary parts.
-
-    Python's builtin complex is floating point; quasiform coefficients may
-    not lose exactness, so complex scalars are carried as Fraction pairs.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexRational is immutable")
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def __add__(self, other):
-        o = _as_complex(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_complex(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = _as_complex(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = _as_complex(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ComplexRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, ComplexRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        return f"ComplexRational({self.re!r}, {self.im!r})"
-
-
-def _as_complex(x):
-    if isinstance(x, ComplexRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ComplexRational(x)
-    return NotImplemented
-
-
-# ---------------------------------------------------------------------------
 # rationals as integers over one denominator
 # ---------------------------------------------------------------------------
 
@@ -252,15 +164,15 @@ def _as_complex(x):
 def integer_numerators(values):
     """(nums, den) with values[i] == nums[i] / den, den the lcm of denominators.
 
-    Returns None when a value is neither int nor Fraction (a ComplexRational,
-    say): such lists have no common integer scaling.
+    Every value must be an int or a Fraction, the only coefficient types;
+    anything else (a float, say) raises TypeError.
     """
     den = 1
     all_int = True
     for v in values:
         if type(v) is not int:
             if not isinstance(v, (int, Fraction)):
-                return None
+                raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
             all_int = False
             den = lcm(den, v.denominator)
     if all_int:
@@ -299,10 +211,7 @@ def factor_exact(rows) -> tuple:
     n = len(rows[0]) if m else 0
     aug = []
     for i, row in enumerate(rows):
-        scaled = integer_numerators(row)
-        if scaled is None:
-            raise TypeError("solve_exact: matrix entries must be int or Fraction")
-        nums, den = scaled
+        nums, den = integer_numerators(row)
         # the identity block, times the scaling that made row i integral
         aug.append(nums + [den if j == i else 0 for j in range(m)])
     for c in range(n):
@@ -338,10 +247,7 @@ def apply_factor(factor, rhs):
     m = len(solution_ops) + len(residual_ops)
     if len(rhs) != m:
         raise ValueError(f"solve_exact: {m} rows but {len(rhs)} right-hand sides")
-    scaled = integer_numerators(rhs)
-    if scaled is None:
-        raise TypeError("solve_exact: right-hand side entries must be int or Fraction")
-    y, den = scaled
+    y, den = integer_numerators(rhs)
     if any(sum(map(mul, t, y)) for t in residual_ops):
         return None
     return [Fraction(sum(map(mul, t, y)), pv * den) for t, pv in solution_ops]

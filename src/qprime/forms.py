@@ -24,14 +24,13 @@ from fractions import Fraction
 from math import comb
 
 from .exactnum import (
-    ComplexRational,
     apply_factor,
     bernoulli,
     factor_exact,
     rationals_over,
     sigma_array,
 )
-from .qseries import QExpansion, linear_combination
+from .qseries import QExpansion, coeff_from_json, linear_combination
 
 __all__ = [
     "QuasiForm",
@@ -140,8 +139,9 @@ def cusp_dim(m: int) -> int:
     """Dimension of the weight-m level-one cusp space."""
     if m % 2 != 0 or m < 12:
         return 0
-    r = m - 12
-    return sum(1 for b in range(r // 6 + 1) if (r - 6 * b) % 4 == 0)
+    # dim M_m = floor(m/12) + (0 if m = 2 mod 12 else 1), less the Eisenstein
+    # series; closed form, so a huge weight read from JSON costs nothing
+    return m // 12 - (m % 12 == 2)
 
 
 # echelonized basis rows at the longest precision computed so far, per weight
@@ -226,11 +226,12 @@ def hk(k: int, precision: int, constant_sign: str = "paper") -> QExpansion:
 
 
 def _check_coeff(value, where):
-    if isinstance(value, ComplexRational):
-        return value.re if value.im == 0 else value
-    if isinstance(value, (int, Fraction)):
-        return _intify(value)
-    raise TypeError(f"QuasiForm: coefficient at {where} must be exact, got {value!r}")
+    # a bool is an int to Python, but would print as "True"
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"QuasiForm: coefficient at {where} must be an int or a Fraction, got {value!r}"
+        )
+    return _intify(value)
 
 
 class QuasiForm:
@@ -240,9 +241,9 @@ class QuasiForm:
     except that the key (0, 0) carries a plain constant (products of the
     generators are constants away from the pure Eisenstein span, so the
     representation needs one).  cusp maps (m, i, l) to the coefficient of
-    D^l applied to element i of cusp_basis(m).  Zero coefficients are
-    never stored; coefficients may be ComplexRational, in which case the
-    form cannot be serialized until split into real and imaginary parts.
+    D^l applied to element i of cusp_basis(m).  Coefficients are ints or
+    Fractions (an int wherever the value is integral) and zeros are never
+    stored.  A complex combination F_re + i F_im is two QuasiForms.
     """
 
     __slots__ = ("eis", "cusp")
@@ -308,7 +309,7 @@ class QuasiForm:
         )
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction, ComplexRational)):
+        if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return QuasiForm(
             eis={key: scalar * value for key, value in self.eis.items()},
@@ -360,22 +361,9 @@ class QuasiForm:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def coeff_str(value, where):
-            if isinstance(value, ComplexRational):
-                raise ValueError(
-                    f"QuasiForm: complex coefficient at {where} has no JSON form; "
-                    "split into real and imaginary parts first"
-                )
-            return str(Fraction(value))
-
         return {
-            "eis": [
-                [k, l, coeff_str(v, (k, l))] for (k, l), v in sorted(self.eis.items())
-            ],
-            "cusp": [
-                [m, i, l, coeff_str(v, (m, i, l))]
-                for (m, i, l), v in sorted(self.cusp.items())
-            ],
+            "eis": [[k, l, str(v)] for (k, l), v in sorted(self.eis.items())],
+            "cusp": [[m, i, l, str(v)] for (m, i, l), v in sorted(self.cusp.items())],
         }
 
     def to_json(self, **kwargs) -> str:
@@ -423,20 +411,7 @@ def _read_entries(data: dict, field: str, nkeys: int) -> dict:
         key = tuple(key)
         if key in out:
             raise ValueError(f"QuasiForm: duplicate {field} entry for {key}")
-        if type(value) is int:
-            out[key] = value
-        elif isinstance(value, str):
-            try:
-                out[key] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(
-                    f"QuasiForm JSON: coefficient {value!r} at {key} is not a rational"
-                ) from None
-        else:
-            raise ValueError(
-                f"QuasiForm JSON: coefficient {value!r} at {key} must be an integer "
-                'or a "num/den" string'
-            )
+        out[key] = coeff_from_json(value, "QuasiForm JSON", key)
     return out
 
 

@@ -52,10 +52,6 @@ IN_OMEGA_TILDE = "InOmegaTilde"
 NOT_IN_OMEGA_TILDE = "Not"
 
 
-def _frac_str(value) -> str:
-    return str(Fraction(value))
-
-
 # ---------------------------------------------------------------------------
 # the prime polynomial
 # ---------------------------------------------------------------------------
@@ -85,7 +81,7 @@ class PrimePolynomial:
     def to_dict(self) -> dict:
         return {
             "degree_bound": self.degree_bound,
-            "betas": [_frac_str(b) for b in self.betas],
+            "betas": [str(b) for b in self.betas],
         }
 
 
@@ -159,7 +155,7 @@ class FiniteCheckResult:
         if self.needed is not None:
             out["needed"] = self.needed
         if self.witness is not None:
-            out["witness"] = {"p": self.witness[0], "value": _frac_str(self.witness[1])}
+            out["witness"] = {"p": self.witness[0], "value": str(self.witness[1])}
         return out
 
     def to_json(self, **kwargs) -> str:
@@ -228,7 +224,7 @@ class OmegaReport:
             "include_small": self.include_small,
             "nonneg_ok": self.nonneg_ok,
             "zero_set_equals_primes": self.zero_set_equals_primes,
-            "violations": [[n, _frac_str(v), reason] for n, v, reason in self.violations],
+            "violations": [[n, str(v), reason] for n, v, reason in self.violations],
             "total_violations": self.total_violations,
         }
 
@@ -314,7 +310,7 @@ class OmegaTildeResult:
                 ("key" if kind == "cusp" else "p"): list(where)
                 if isinstance(where, tuple)
                 else where,
-                "value": _frac_str(value),
+                "value": str(value),
             }
         return out
 

@@ -10,19 +10,20 @@ interoperate freely).  Every product of rational series runs on integers:
 each operand is scaled once to integer numerators over the lcm of its
 denominators, the integer lists are multiplied, and the product is divided
 back once.  Sums of many scaled series (linear_combination) accumulate
-integer numerators over one denominator the same way.  Only ComplexRational
-coefficients take the generic coefficientwise route.
+integer numerators over one denominator the same way.  No other coefficient
+type exists: a complex combination is held as two real series.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactnum import ComplexRational, integer_numerators, rationals_over
+from .exactnum import integer_numerators, rationals_over
 
 __all__ = ["QExpansion", "linear_combination"]
 
@@ -105,7 +106,7 @@ class QExpansion:
             return QExpansion(
                 [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])], n
             )
-        if isinstance(other, (int, Fraction, ComplexRational)):
+        if isinstance(other, (int, Fraction)):
             out = list(self.coeffs)
             out[0] = out[0] + other
             return QExpansion(out, self.precision)
@@ -125,15 +126,12 @@ class QExpansion:
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
-            a = self.coeffs[: n + 1]
-            sa = integer_numerators(a)
-            sb = sa if other is self else integer_numerators(other.coeffs[: n + 1])
-            if sa is None or sb is None:
-                return QExpansion(_mul_schoolbook(a, other.coeffs[: n + 1], n), n)
-            (ia, den_a), (ib, den_b) = sa, sb
+            ia, den_a = integer_numerators(self.coeffs[: n + 1])
+            # a square hands _mul_kronecker one list twice, which packs it once
+            ib, den_b = (ia, den_a) if other is self else integer_numerators(other.coeffs[: n + 1])
             mul_int = _mul_kronecker if n >= _FAST_MUL_MIN_PRECISION else _mul_schoolbook
             return QExpansion(rationals_over(mul_int(ia, ib, n), den_a * den_b), n)
-        if isinstance(other, (int, Fraction, ComplexRational)):
+        if isinstance(other, (int, Fraction)):
             return QExpansion([c * other for c in self.coeffs], self.precision)
         return NotImplemented
 
@@ -163,20 +161,27 @@ class QExpansion:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        coeffs = [str(c) if type(c) is int else str(Fraction(c)) for c in self.coeffs]
-        return {"precision": self.precision, "coeffs": coeffs}
+        return {"precision": self.precision, "coeffs": list(map(str, self.coeffs))}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "QExpansion":
-        precision = int(data["precision"])
-        coeffs = [_coeff_from_str(s) for s in data["coeffs"]]
-        if len(coeffs) != precision + 1:
-            raise ValueError(
-                f"QExpansion: expected {precision + 1} coefficients, got {len(coeffs)}"
-            )
+        """Read the to_dict layout back; anything else raises ValueError.
+
+        The precision must be a JSON integer >= 0 and every coefficient an
+        integer or a "num/den" string, so that no float is ever read into
+        an exact coefficient or a truncated precision.
+        """
+        if not isinstance(data, dict) or set(data) != {"precision", "coeffs"}:
+            raise ValueError('QExpansion JSON must be an object of "precision" and "coeffs"')
+        precision, coeffs = data["precision"], data["coeffs"]
+        if type(precision) is not int or precision < 0:
+            raise ValueError(f"QExpansion JSON: precision {precision!r} must be an integer >= 0")
+        if not isinstance(coeffs, list) or len(coeffs) != precision + 1:
+            raise ValueError(f"QExpansion JSON: coeffs must be a list of {precision + 1} entries")
+        coeffs = [coeff_from_json(c, "QExpansion JSON", f"q^{n}") for n, c in enumerate(coeffs)]
         return cls(coeffs, precision)
 
     @classmethod
@@ -184,30 +189,47 @@ class QExpansion:
         return cls.from_dict(json.loads(text))
 
 
-def _coeff_from_str(s: str):
-    f = Fraction(s)
-    return int(f) if f.denominator == 1 else f
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def coeff_from_json(value, source: str, where):
+    """An exact coefficient from JSON: an integer, or a "num/den" string.
+
+    Anything else (a float, a bool, a decimal string) raises ValueError
+    naming the source and the position.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise ValueError(
+            f"{source}: coefficient {value!r} at {where} must be an integer "
+            'or a "num/den" string'
+        )
+    try:
+        # the pattern keeps out decimals and exponents ("1e999999999"
+        # would build a billion-digit integer); int() can still refuse a
+        # numeral past its digit limit, and the denominator can be zero
+        f = Fraction(value) if _RATIONAL.fullmatch(value) else None
+    except (ValueError, ZeroDivisionError):
+        f = None
+    if f is None:
+        raise ValueError(
+            f'{source}: coefficient {value!r} at {where} is not a rational "num/den" string'
+        )
+    return f.numerator if f.denominator == 1 else f
 
 
 def linear_combination(terms, precision: int) -> QExpansion:
     """sum of c * f over the (c, f) pairs, truncated at q^precision.
 
-    Every series must be known to at least that precision.  Rational terms
-    add up as integer numerators over one common denominator, divided back
-    once at the end; a ComplexRational scalar or coefficient anywhere sends
-    the whole sum through plain coefficientwise arithmetic.
+    Every series must be known to at least that precision.  The terms add
+    up as integer numerators over one common denominator, divided back
+    once at the end.
     """
-    terms = [(c, f.truncate(precision)) for c, f in terms]
     scaled = []
     den = 1
     for c, f in terms:
-        nums = integer_numerators(f.coeffs)
-        if nums is None or not isinstance(c, (int, Fraction)):
-            total = QExpansion.zero(precision)
-            for c, f in terms:
-                total = total + c * f
-            return total
-        ints, d = nums
+        ints, d = integer_numerators(f.truncate(precision).coeffs)
         c = Fraction(c, d)
         scaled.append((c, ints))
         den = lcm(den, c.denominator)
@@ -226,8 +248,8 @@ def linear_combination(terms, precision: int) -> QExpansion:
 def _mul_schoolbook(a, b, n: int):
     """Cauchy product truncated at q^n of two length-(n+1) lists, by diagonals.
 
-    Works for any coefficients that multiply and add; the rational products
-    in QExpansion.__mul__ hand it integers.
+    Works for any coefficients that multiply and add; QExpansion.__mul__
+    hands it integer numerators.
     """
     rb = b[::-1]
     return [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]

@@ -94,7 +94,7 @@ class ExponentProfile:
                     "weight": m,
                     "index": i,
                     "derivative": j,
-                    "coefficient": str(Fraction(c)),
+                    "coefficient": str(c),
                     "alpha": str(alpha),
                     "beta": str(beta),
                 }
@@ -158,8 +158,8 @@ class SignStatsReport:
         return {
             "x_max": self.x_max,
             "sign_changes": self.sign_changes,
-            "partial_sum": [[x, str(Fraction(s))] for x, s in self.partial_sum],
-            "partial_sum_sq": [[x, str(Fraction(s))] for x, s in self.partial_sum_sq],
+            "partial_sum": [[x, str(s)] for x, s in self.partial_sum],
+            "partial_sum_sq": [[x, str(s)] for x, s in self.partial_sum_sq],
             "normalized_sq": [[x, v] for x, v in self.normalized_sq],
         }
 

@@ -74,6 +74,28 @@ def test_expand_from_json_file(capsys, tmp_path):
     assert json.loads(out)["coeffs"] == ["0", "-23", "582", "-6036", "35356"]
 
 
+def test_form_spec_wins_over_a_file_of_the_same_name(capsys, tmp_path, monkeypatch):
+    # a file named G4 holding G6 must not shadow the form G4; "./G4" is no
+    # form spec, so it still reaches the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "G4").write_text(parse_form_spec("G6").to_json())
+    code, out, _ = run_cli(capsys, "expand", "G4", "--precision", "3")
+    assert code == 0
+    assert QExpansion.from_json(out) == parse_form_spec("G4").expand(3)
+    code, out, _ = run_cli(capsys, "expand", "./G4", "--precision", "3")
+    assert code == 0
+    assert QExpansion.from_json(out) == parse_form_spec("G6").expand(3)
+    assert json.loads(out)["coeffs"][1] == "1"
+
+
+def test_missing_path_gets_the_grammar_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "expand", "./missing.json", "--precision", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character '.' (position 0)\n"
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "expand", "G6", "--precision", "3", "--output", str(path))

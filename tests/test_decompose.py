@@ -3,8 +3,7 @@
 import random
 from fractions import Fraction
 
-from qprime.decompose import DecompositionResult, split_eis_cusp, split_realified
-from qprime.exactnum import ComplexRational
+from qprime.decompose import DecompositionResult, split_eis_cusp
 from qprime.forms import QuasiForm, delta, eisenstein_g, hk_quasiform
 
 
@@ -92,31 +91,3 @@ def test_result_json_round_trip():
     assert set(data) == {"eis_part", "cusp_part", "certificate_precision"}
     back = DecompositionResult.from_dict(data)
     assert back == result
-
-
-def test_split_realified():
-    i = ComplexRational(0, 1)
-    g4 = QuasiForm(eis={(4, 0): 1})
-    re, im = split_realified(g4)
-    assert re == g4 and im.is_zero()
-
-    re, im = split_realified(i * g4)
-    assert re.is_zero() and im == g4
-
-    f = (1 + i) * QuasiForm(cusp={(12, 0, 0): 1})
-    re, im = split_realified(f)
-    assert re == QuasiForm(cusp={(12, 0, 0): 1})
-    assert im == QuasiForm(cusp={(12, 0, 0): 1})
-
-
-def test_split_realified_mixed():
-    f = QuasiForm(
-        eis={(4, 0): ComplexRational(Fraction(1, 2), -3), (2, 1): 5},
-        cusp={(12, 0, 0): ComplexRational(0, Fraction(2, 7))},
-    )
-    re, im = split_realified(f)
-    assert re.eis == {(4, 0): Fraction(1, 2), (2, 1): 5} and re.cusp == {}
-    assert im.eis == {(4, 0): -3} and im.cusp == {(12, 0, 0): Fraction(2, 7)}
-    # recombining reproduces the original
-    i = ComplexRational(0, 1)
-    assert re + i * im == f

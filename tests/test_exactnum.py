@@ -13,8 +13,8 @@ import pytest
 
 from oracles import factorize, sigma
 from qprime.exactnum import (
-    ComplexRational,
     bernoulli,
+    integer_numerators,
     prime_mask,
     primes_up_to,
     sigma_array,
@@ -131,24 +131,6 @@ def test_prime_mask_agrees_with_list():
         assert bool(mask[n]) == (n in plist)
 
 
-def test_complex_rational_arithmetic():
-    i = ComplexRational(0, 1)
-    z = ComplexRational(Fraction(1, 2), Fraction(3, 4))
-    assert i * i == -1
-    assert z + z.conjugate() == 1
-    assert (z * z.conjugate()).is_real()
-    assert z * z.conjugate() == Fraction(1, 4) + Fraction(9, 16)
-    assert 2 * z == ComplexRational(1, Fraction(3, 2))
-    assert 1 - i == ComplexRational(1, -1)
-
-
-def test_complex_rational_equality_with_reals():
-    assert ComplexRational(5, 0) == 5
-    assert ComplexRational(Fraction(1, 3), 0) == Fraction(1, 3)
-    assert ComplexRational(5, 1) != 5
-    assert hash(ComplexRational(5, 0)) == hash(5)
-
-
 def test_solve_exact_round_trip():
     import random
 
@@ -182,3 +164,21 @@ def test_solve_exact_overdetermined_consistent():
     rows = [[1, 0], [0, 1], [1, 1], [2, 3]]
     rhs = [Fraction(1, 2), 3, Fraction(7, 2), 10]
     assert solve_exact(rows, rhs) == [Fraction(1, 2), Fraction(3)]
+
+
+def test_integer_numerators():
+    assert integer_numerators([1, -2, 0]) == ([1, -2, 0], 1)
+    assert integer_numerators([Fraction(1, 6), 2, Fraction(-3, 4)]) == ([2, 24, -9], 12)
+    assert integer_numerators([]) == ([], 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None, 1j])
+def test_integer_numerators_rejects_other_types(bad):
+    # int and Fraction are the only coefficient types; the check lives here
+    # and every product, sum and solve goes through it
+    with pytest.raises(TypeError):
+        integer_numerators([1, Fraction(1, 2), bad])
+    with pytest.raises(TypeError):
+        solve_exact([[1, 0], [0, bad]], [1, 2])
+    with pytest.raises(TypeError):
+        solve_exact([[1, 0], [0, 1]], [bad, 2])

@@ -152,6 +152,17 @@ def test_cusp_dim_values():
     assert cusp_dim(13) == 0
 
 
+def test_cusp_dim_counts_the_monomials_e4_e6():
+    # dim S_m is the number of (a, b) with 4a + 6b = m - 12, by the
+    # structure theorem; the closed form must agree, and a huge weight
+    # (as a JSON key can carry) must not cost a loop over it
+    for m in range(-4, 3001):
+        count = sum(1 for b in range((m - 12) // 6 + 1) if (m - 12 - 6 * b) % 4 == 0)
+        assert cusp_dim(m) == (count if m % 2 == 0 else 0), m
+    assert cusp_dim(12 * 10**30) == 10**30
+    assert cusp_dim(12 * 10**30 + 2) == 10**30 - 1
+
+
 def test_cusp_basis_trivial_weights():
     assert cusp_basis(4, 10) == []
     assert cusp_basis(14, 10) == []
@@ -370,16 +381,19 @@ def test_quasiform_from_dict_rejects_duplicates():
         QuasiForm.from_dict({"eis": [[4, 0, "1"], [4, 0, "2"]], "cusp": []})
 
 
-def test_quasiform_complex_coefficients():
-    from qprime.exactnum import ComplexRational
+@pytest.mark.parametrize("value", [True, False, 0.5, 2.0, None, "1", 1j])
+def test_quasiform_coefficients_are_int_or_fraction(value):
+    # a bool would print as "True" in JSON, a float is inexact
+    with pytest.raises(TypeError):
+        QuasiForm(eis={(4, 0): value})
+    with pytest.raises(TypeError):
+        QuasiForm(cusp={(12, 0, 0): value})
 
-    f = QuasiForm(eis={(4, 0): ComplexRational(1, 2)})
-    assert f.expand(3).coeffs[1] == ComplexRational(1, 2)
-    with pytest.raises(ValueError):
-        f.to_dict()
-    # a complex value with zero imaginary part is stored as its real part
-    g = QuasiForm(eis={(4, 0): ComplexRational(Fraction(1, 2), 0)})
-    assert g.eis == {(4, 0): Fraction(1, 2)}
+
+def test_quasiform_stores_integral_fractions_as_ints():
+    f = QuasiForm(eis={(4, 0): Fraction(6, 3), (2, 1): Fraction(1, 2)})
+    assert type(f.eis[(4, 0)]) is int and f.eis[(2, 1)] == Fraction(1, 2)
+    assert f.to_dict()["eis"] == [[2, 1, "1/2"], [4, 0, "2"]]
 
 
 # -- spanning sets and monomial conversion ----------------------------------

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qprime.exactnum import ComplexRational, integer_numerators, rationals_over
+from qprime.exactnum import integer_numerators, rationals_over
 from qprime.qseries import (
     _FAST_MUL_MIN_PRECISION,
     QExpansion,
     _mul_kronecker,
     _mul_schoolbook,
+    linear_combination,
 )
 
 
@@ -175,6 +176,61 @@ def test_json_round_trip():
 def test_from_dict_length_mismatch():
     with pytest.raises(ValueError):
         QExpansion.from_dict({"precision": 3, "coeffs": ["1", "2"]})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a float precision would be truncated, a bool read as 1
+        ({"precision": 2.9, "coeffs": ["1", "2", "3"]}, "precision"),
+        ({"precision": True, "coeffs": ["1", "2"]}, "precision"),
+        ({"precision": "2", "coeffs": ["1", "2", "3"]}, "precision"),
+        ({"precision": -1, "coeffs": []}, "precision"),
+        # a float coefficient would enter the exact domain as 1/2
+        ({"precision": 1, "coeffs": ["1", 0.5]}, "must be an integer"),
+        ({"precision": 1, "coeffs": ["1", True]}, "must be an integer"),
+        ({"precision": 1, "coeffs": ["1", None]}, "must be an integer"),
+        ({"precision": 1, "coeffs": ["1", ["2"]]}, "must be an integer"),
+        ({"precision": 1, "coeffs": ["1", "0.5"]}, "not a rational"),
+        ({"precision": 1, "coeffs": ["1", "1e999999999"]}, "not a rational"),
+        ({"precision": 1, "coeffs": ["1", " 2"]}, "not a rational"),
+        ({"precision": 1, "coeffs": ["1", "1/0"]}, "not a rational"),
+        ({"precision": 1, "coeffs": ["1", "x"]}, "not a rational"),
+        ({"precision": 1, "coeffs": "12"}, "must be a list of 2"),
+        ({"precision": 3, "coeffs": ["1", "2"]}, "must be a list of 4"),
+        ({"precision": 1}, "must be an object"),
+        ({"coeffs": ["1"]}, "must be an object"),
+        ({"precision": 0, "coeffs": ["1"], "extra": 0}, "must be an object"),
+        ([1, 2], "must be an object"),
+        ("G4", "must be an object"),
+        (None, "must be an object"),
+    ],
+)
+def test_from_dict_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        QExpansion.from_dict(data)
+
+
+def test_from_dict_reads_ints_and_rational_strings():
+    f = QExpansion.from_dict({"precision": 3, "coeffs": [7, "-7/3", "4/2", "-0"]})
+    assert f.coeffs == [7, Fraction(-7, 3), 2, 0]
+    assert [type(c) for c in f.coeffs] == [int, Fraction, int, int]
+
+
+def test_float_coefficients_raise_in_products_and_sums():
+    # int and Fraction are the only coefficient types: a float series has
+    # no exact product
+    f = QExpansion([0.5, 1.0, 2.0])
+    g = QExpansion([1, 2, 3])
+    for product in (lambda: f * g, lambda: g * f, lambda: f * f):
+        with pytest.raises(TypeError):
+            product()
+    with pytest.raises(TypeError):
+        linear_combination([(1, g), (2, f)], 2)
+    with pytest.raises(TypeError):
+        linear_combination([(0.5, g)], 2)
+    with pytest.raises(TypeError):
+        g * 0.5
 
 
 def test_truncate():
@@ -398,31 +454,3 @@ def test_kronecker_leaves_the_decimal_context_alone():
         assert (f * f).coeffs == _oracle_product(f.coeffs, f.coeffs)
         assert decimal.getcontext() is context
         assert state(context) == before
-
-
-def _as_complex(c):
-    return c if isinstance(c, ComplexRational) else ComplexRational(c)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(_coefficient, min_size=6, max_size=6),
-    st.lists(_coefficient, min_size=6, max_size=6),
-    _coefficient,
-    _coefficient,
-)
-def test_mul_with_complex_rationals_stays_exact(a, b, re, im):
-    z = ComplexRational(re, im)
-    f = QExpansion(a, 5)
-    # a complex scalar scales every coefficient exactly
-    assert (f * z).coeffs == [ComplexRational(c) * z for c in a]
-    assert (z * f).coeffs == (f * z).coeffs
-    # complex coefficients take the generic product; compare with the
-    # oracle applied to real and imaginary parts separately
-    g = QExpansion([ComplexRational(x, y) for x, y in zip(a, b)], 5)
-    h = QExpansion(b, 5)
-    re_part = _oracle_product(a, b)
-    im_part = _oracle_product(b, b)
-    assert [_as_complex(c) for c in (g * h).coeffs] == [
-        ComplexRational(x, y) for x, y in zip(re_part, im_part)
-    ]
