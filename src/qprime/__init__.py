@@ -1,78 +1,69 @@
 """Exact arithmetic for level-one quasimodular forms and prime-detecting
-coefficient combinations."""
+coefficient combinations.
 
-from .decompose import DecompositionResult, split_eis_cusp
-from .formspec import FormSpecError, parse_form_spec
-from .forms import (
-    QuasiForm,
-    cusp_basis,
-    cusp_dim,
-    delta,
-    eisenstein_g,
-    from_monomials,
-    hk,
-    hk_quasiform,
-    quasiform_expand,
-)
-from .macmahon import MacMahonTable, macmahon_table, prime_identity, relation_value
-from .primedetect import (
-    FiniteCheckResult,
-    OmegaReport,
-    OmegaTildeResult,
-    PrimePolynomial,
-    finite_check,
-    omega_scan,
-    omega_tilde_decide,
-    prime_polynomial,
-)
-from .qseries import QExpansion
-from .signstats import (
-    DeligneReport,
-    ExponentProfile,
-    SignStatsReport,
-    count_sign_changes,
-    deligne_check,
-    exponent_profile,
-    partial_sum_report,
-    prime_coefficients,
-)
+The public names are loaded on first use (PEP 562), so that a process
+pays only for the modules it runs: ``from qprime import QuasiForm``
+imports forms and what forms needs, nothing else.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DecompositionResult",
-    "DeligneReport",
-    "ExponentProfile",
-    "FiniteCheckResult",
-    "FormSpecError",
-    "MacMahonTable",
-    "OmegaReport",
-    "OmegaTildeResult",
-    "PrimePolynomial",
-    "QExpansion",
-    "QuasiForm",
-    "SignStatsReport",
-    "count_sign_changes",
-    "cusp_basis",
-    "cusp_dim",
-    "deligne_check",
-    "delta",
-    "eisenstein_g",
-    "exponent_profile",
-    "finite_check",
-    "from_monomials",
-    "hk",
-    "hk_quasiform",
-    "macmahon_table",
-    "omega_scan",
-    "omega_tilde_decide",
-    "parse_form_spec",
-    "partial_sum_report",
-    "prime_coefficients",
-    "prime_identity",
-    "prime_polynomial",
-    "quasiform_expand",
-    "relation_value",
-    "split_eis_cusp",
-    "__version__",
-]
+# public name -> the submodule defining it
+_EXPORTS = {
+    "DecompositionResult": "decompose",
+    "split_eis_cusp": "decompose",
+    "FormSpecError": "formspec",
+    "parse_form_spec": "formspec",
+    "QuasiForm": "forms",
+    "cusp_basis": "forms",
+    "cusp_dim": "forms",
+    "delta": "forms",
+    "eisenstein_g": "forms",
+    "from_monomials": "forms",
+    "hk": "forms",
+    "hk_quasiform": "forms",
+    "quasiform_expand": "forms",
+    "MacMahonTable": "macmahon",
+    "macmahon_table": "macmahon",
+    "prime_identity": "macmahon",
+    "relation_value": "macmahon",
+    "FiniteCheckResult": "primedetect",
+    "OmegaReport": "primedetect",
+    "OmegaTildeResult": "primedetect",
+    "PrimePolynomial": "primedetect",
+    "finite_check": "primedetect",
+    "omega_scan": "primedetect",
+    "omega_tilde_decide": "primedetect",
+    "prime_polynomial": "primedetect",
+    "QExpansion": "qseries",
+    "DeligneReport": "signstats",
+    "ExponentProfile": "signstats",
+    "SignStatsReport": "signstats",
+    "count_sign_changes": "signstats",
+    "deligne_check": "signstats",
+    "exponent_profile": "signstats",
+    "partial_sum_report": "signstats",
+    "prime_coefficients": "signstats",
+}
+
+_SUBMODULES = frozenset(
+    ("cli", "decompose", "exactnum", "formspec", "forms", "macmahon",
+     "primedetect", "qseries", "signstats")
+)
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -11,31 +11,21 @@ check), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
-from .decompose import split_eis_cusp
-from .exactnum import first_primes
-from .formspec import FormSpecError, parse_form_spec
-from .forms import QuasiForm
-from .macmahon import macmahon_table, prime_identity
-from .primedetect import (
-    IN_OMEGA_TILDE,
-    VANISHES_AT_ALL_PRIMES,
-    degree_bound,
-    finite_check,
-    omega_scan,
-    omega_tilde_decide,
-)
-from .signstats import deligne_check, partial_sum_report
-
 __all__ = ["main", "run"]
 
+# Each handler imports the modules it runs, so that a process loads only
+# what its subcommand needs: expand, for one, never loads primedetect,
+# signstats, decompose or macmahon.
 
-def _load_form(spec: str) -> QuasiForm:
+
+def _load_form(spec: str):
+    from .formspec import FormSpecError, parse_form_spec
+    from .forms import QuasiForm
+
     # the grammar first, so that a file named like a form (G4) cannot
     # shadow it; "./G4" is no form spec and reaches the file
     try:
@@ -58,6 +48,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _csv_text(rows) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     csv.writer(out).writerows(rows)
     return out.getvalue()
@@ -90,6 +83,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import split_eis_cusp
+
     if args.precision < 1:
         raise ValueError(f"--precision must be >= 1, got {args.precision}")
     form = _load_form(args.form)
@@ -107,6 +102,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .decompose import split_eis_cusp
+    from .primedetect import IN_OMEGA_TILDE, omega_scan, omega_tilde_decide
+
     form = _load_form(args.form)
     decomposition = split_eis_cusp(form)
     verdict = omega_tilde_decide(form)
@@ -137,6 +135,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_finite_check(args) -> int:
+    from .exactnum import first_primes
+    from .primedetect import VANISHES_AT_ALL_PRIMES, degree_bound, finite_check
+
     form = _load_form(args.form)
     if args.primes is not None:
         try:
@@ -157,6 +158,8 @@ def _cmd_finite_check(args) -> int:
 
 
 def _cmd_macmahon(args) -> int:
+    from .macmahon import macmahon_table, prime_identity
+
     table = macmahon_table(args.amax, args.bound)
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
@@ -175,6 +178,8 @@ def _cmd_macmahon(args) -> int:
 
 
 def _cmd_signstats(args) -> int:
+    from .signstats import partial_sum_report
+
     form = _load_form(args.form)
     grid = None
     if args.grid:
@@ -202,6 +207,8 @@ def _cmd_signstats(args) -> int:
 
 
 def _cmd_deligne(args) -> int:
+    from .signstats import deligne_check
+
     report = deligne_check(args.weight, args.bound)
     if args.format == "csv":
         _emit(_fields_csv(report.to_dict()), args.output)
@@ -299,10 +306,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except FormSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a FormSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

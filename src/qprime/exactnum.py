@@ -7,14 +7,12 @@ integers.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 __all__ = [
     "Fraction",
-    "PrimeList",
     "bernoulli",
     "sigma_array",
     "primes_up_to",
@@ -84,26 +82,6 @@ def sigma_array(r: int, n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeList:
-    """All primes up to a stated bound, ascending and complete."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __contains__(self, n: int) -> bool:
-        from bisect import bisect_left
-
-        i = bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
-
-
 def prime_mask(x: int) -> bytearray:
     """Sieve of Eratosthenes: mask[n] == 1 iff n is prime, for 0 <= n <= x."""
     if x < 0:
@@ -117,12 +95,12 @@ def prime_mask(x: int) -> bytearray:
     return mask
 
 
-def primes_up_to(x: int) -> PrimeList:
-    """Complete ascending list of primes <= x."""
+def primes_up_to(x: int) -> tuple[int, ...]:
+    """Every prime <= x, ascending."""
     if x < 1:
         raise ValueError(f"primes_up_to: bound must be >= 1, got {x}")
     mask = prime_mask(x)
-    return PrimeList(bound=x, primes=tuple(i for i in range(2, x + 1) if mask[i]))
+    return tuple(i for i in range(2, x + 1) if mask[i])
 
 
 def is_prime(n: int) -> bool:
@@ -150,7 +128,7 @@ def first_primes(count: int) -> tuple[int, ...]:
     # p_n < n(ln n + ln ln n) for n >= 6; small cases padded by the constant
     bound = 15
     while True:
-        primes = primes_up_to(bound).primes
+        primes = primes_up_to(bound)
         if len(primes) >= count:
             return primes[:count]
         bound *= 2

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .exactnum import (
     apply_factor,
@@ -33,6 +33,8 @@ from .exactnum import (
 from .qseries import QExpansion, coeff_from_json, linear_combination
 
 __all__ = [
+    "MAX_WEIGHT",
+    "MAX_ORDER",
     "QuasiForm",
     "eisenstein_g",
     "delta",
@@ -44,6 +46,15 @@ __all__ = [
     "expand_monomials",
     "from_monomials",
 ]
+
+
+# the largest weight and derivative order read from input, by the grammar
+# and by QuasiForm.from_dict.  Expanding the largest G_k, H_k or S_m.i at
+# precision 2 takes under a second; beyond that B_k and the cusp basis grow
+# without end.  D^l raises the weight by 2l, so half the weight bound keeps a
+# term's graded weight within twice it
+MAX_WEIGHT = 600
+MAX_ORDER = 300
 
 
 def _intify(x):
@@ -175,7 +186,9 @@ def _build_cusp_basis(m: int, precision: int) -> list[list]:
     # on powers of Delta shared by the rows.  Row j starts p_j q^{j+1}, p_j
     # the constant of d E_k (1 for E_0), so clearing the columns from the
     # last one back by integer row operations and dividing each row by its
-    # pivot gives the echelon basis
+    # pivot gives the echelon basis.  Each updated row is divided by the
+    # gcd of its entries: without that, every column cleared multiplies
+    # the row by a pivot and the entries double in size per column
     dlt = delta(precision)
     power = dlt
     rows = []
@@ -190,7 +203,9 @@ def _build_cusp_basis(m: int, precision: int) -> list[list]:
         for i in range(j):
             f = rows[i][j + 1]
             if f:
-                rows[i] = [pj * x - f * y for x, y in zip(rows[i], rows[j])]
+                row = [pj * x - f * y for x, y in zip(rows[i], rows[j])]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
     return [rationals_over(row, row[i + 1]) for i, row in enumerate(rows)]
 
 
@@ -375,7 +390,8 @@ class QuasiForm:
 
         Keys must be JSON integers (not booleans) and coefficients either
         integers or "num/den" strings, so that no float is ever read into
-        an exact coefficient or a truncated weight.
+        an exact coefficient or a truncated weight.  Weights above
+        MAX_WEIGHT and derivative orders above MAX_ORDER are refused.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -408,6 +424,16 @@ def _read_entries(data: dict, field: str, nkeys: int) -> dict:
         *key, value = entry
         if any(type(x) is not int for x in key):
             raise ValueError(f"QuasiForm JSON: {field} key {key!r} must be integers")
+        # weight first, order last, in both layouts
+        if key[0] > MAX_WEIGHT:
+            raise ValueError(
+                f"QuasiForm JSON: {field} key {key!r} has weight above the maximum {MAX_WEIGHT}"
+            )
+        if key[-1] > MAX_ORDER:
+            raise ValueError(
+                f"QuasiForm JSON: {field} key {key!r} has derivative order above "
+                f"the maximum {MAX_ORDER}"
+            )
         key = tuple(key)
         if key in out:
             raise ValueError(f"QuasiForm: duplicate {field} entry for {key}")

@@ -8,17 +8,19 @@ rational scalar, an optional derivative operator, and one atom:
     spec   := ["+"|"-"] term (("+"|"-") term)*
 
 Whitespace is ignored everywhere, so "3/2D^2G4" and "3/2 * D^2 G4" name
-the same object.  A bare number is a constant term.  Errors carry the
-offset into the input at which parsing failed.
+the same object.  A bare number is a constant term.  Weights are at
+most forms.MAX_WEIGHT and the derivative order of a term at most
+forms.MAX_ORDER.  Errors carry the offset into the input at which
+parsing failed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .forms import QuasiForm, cusp_dim, hk_quasiform
+from .forms import MAX_ORDER, MAX_WEIGHT, QuasiForm, cusp_dim, hk_quasiform
 
 __all__ = ["FormSpecError", "parse_form_spec"]
 
@@ -45,12 +47,19 @@ _TOKEN_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    groups: tuple
-    pos: int
+_Token = namedtuple("_Token", "kind text groups pos")
+
+
+def _at_most(digits: str, maximum: int) -> int | None:
+    """The value of a numeral, or None when it exceeds maximum.
+
+    Lengths are compared first, so a numeral past the interpreter's
+    int/str digit limit never reaches int().
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(maximum)) or int(digits) > maximum:
+        return None
+    return int(digits)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -122,9 +131,19 @@ class _Parser:
         token = self.peek()
         if token is not None and token.kind == "D":
             self.take()
-            order = int(token.groups[0]) if token.groups[0] is not None else 1
+            order = 1 if token.groups[0] is None else _at_most(token.groups[0], MAX_ORDER)
+            if order is None:
+                raise FormSpecError(
+                    f"{token.text}: derivative order exceeds the maximum {MAX_ORDER}", token.pos
+                )
         form = self._atom()
         if order:
+            # H_k already carries D^2, and the bound is on the whole order
+            total = order + max(key[-1] for key in (*form.eis, *form.cusp))
+            if total > MAX_ORDER:
+                raise FormSpecError(
+                    f"derivative order {total} exceeds the maximum {MAX_ORDER}", token.pos
+                )
             form = form.derivative(order)
         return coeff * form
 
@@ -132,32 +151,37 @@ class _Parser:
         token = self.peek()
         if token is None:
             raise FormSpecError("expected a form term", self.length)
+        if token.kind in ("G", "H", "S"):
+            weight = _at_most(token.groups[0], MAX_WEIGHT)
+            if weight is None:
+                raise FormSpecError(
+                    f"{token.text}: weight exceeds the maximum {MAX_WEIGHT}", token.pos
+                )
         if token.kind == "G":
             self.take()
-            k = int(token.groups[0])
-            if k < 2 or k % 2 != 0:
-                raise FormSpecError(f"G{k}: weight must be even and >= 2", token.pos)
-            return QuasiForm(eis={(k, 0): 1})
+            if weight < 2 or weight % 2 != 0:
+                raise FormSpecError(f"G{weight}: weight must be even and >= 2", token.pos)
+            return QuasiForm(eis={(weight, 0): 1})
         if token.kind == "H":
             self.take()
-            k = int(token.groups[0])
-            if k < 6 or k % 2 != 0:
-                raise FormSpecError(f"H{k}: weight must be even and >= 6", token.pos)
-            return hk_quasiform(k)
+            if weight < 6 or weight % 2 != 0:
+                raise FormSpecError(f"H{weight}: weight must be even and >= 6", token.pos)
+            return hk_quasiform(weight)
         if token.kind == "DELTA":
             self.take()
             return QuasiForm(cusp={(12, 0, 0): 1})
         if token.kind == "S":
             self.take()
-            m, i = int(token.groups[0]), int(token.groups[1])
-            dim = cusp_dim(m)
+            name = f"S{weight}.{token.groups[1].lstrip('0') or '0'}"
+            dim = cusp_dim(weight)
             if dim == 0:
-                raise FormSpecError(f"S{m}.{i}: no cusp forms of weight {m}", token.pos)
-            if i >= dim:
+                raise FormSpecError(f"{name}: no cusp forms of weight {weight}", token.pos)
+            i = _at_most(token.groups[1], dim - 1)
+            if i is None:
                 raise FormSpecError(
-                    f"S{m}.{i}: basis index out of range (dimension {dim})", token.pos
+                    f"{name}: basis index out of range (dimension {dim})", token.pos
                 )
-            return QuasiForm(cusp={(m, i, 0): 1})
+            return QuasiForm(cusp={(weight, i, 0): 1})
         raise FormSpecError(f"expected a form term, found {token.text!r}", token.pos)
 
 

@@ -244,6 +244,19 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [("G602", "weight exceeds the maximum 600"),
+     ("D^301 G4", "derivative order exceeds the maximum 300"),
+     ("D^99999999999999999999 G4", "derivative order exceeds the maximum 300")],
+)
+def test_weight_and_order_bounds_exit_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "expand", spec, "--precision", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_bad_precision_rejected(capsys):
     code, _, err = run_cli(capsys, "expand", "G4", "--precision", "0")
     assert code == 2
@@ -282,6 +295,12 @@ def test_bad_json_file_rejected(capsys, tmp_path):
         ("[1, 2]", "must be an object"),
         ('"G4"', "must be an object"),
         ("3", "must be an object"),
+        # the first weight and order past the bounds in forms
+        ('{"eis": [[602, 0, "1"]]}', "weight above the maximum 600"),
+        ('{"eis": [[4, 301, "1"]]}', "derivative order above the maximum 300"),
+        ('{"cusp": [[602, 0, 0, "1"]]}', "weight above the maximum 600"),
+        ('{"cusp": [[12, 0, 301, "1"]]}', "derivative order above the maximum 300"),
+        ('{"cusp": [[1200000000, 0, 0, "1"]]}', "weight above the maximum 600"),
     ],
 )
 def test_quasiform_json_boundary(capsys, tmp_path, text, message):

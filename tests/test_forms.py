@@ -247,6 +247,17 @@ def test_cusp_basis_matches_the_gauss_jordan_oracle(monkeypatch, n):
         ], m
 
 
+def test_cusp_basis_at_a_high_weight_matches_the_oracle(monkeypatch):
+    # dimension 20: the back-substitution divides each updated row by its
+    # content, without which the entries reach millions of bits here
+    monkeypatch.setattr(forms_module, "_CUSP_CACHE", {})
+    basis = cusp_basis(240, 21)
+    expected = cusp_basis_by_gauss_jordan(240, 21)
+    assert [[(type(c), c) for c in f.coeffs] for f in basis] == [
+        [(type(c), c) for c in row] for row in expected
+    ]
+
+
 def test_cusp_basis_rejects_odd_weight_and_tiny_precision():
     with pytest.raises(ValueError):
         cusp_basis(13, 10)

@@ -73,6 +73,35 @@ def test_rejects_bad_input(text):
         parse_form_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [("G602", 0, "G602: weight exceeds the maximum 600"),
+     ("H602", 0, "H602: weight exceeds the maximum 600"),
+     ("S602.0", 0, "S602.0: weight exceeds the maximum 600"),
+     ("G4 + D^301 G4", 5, "D^301: derivative order exceeds the maximum 300"),
+     # H_k carries D^2 itself
+     ("D^299 H8", 0, "derivative order 301 exceeds the maximum 300"),
+     # numerals past the interpreter's int/str digit limit
+     ("G" + "9" * 5000, 0, "weight exceeds the maximum 600"),
+     ("S24." + "9" * 5000, 0, "basis index out of range (dimension 2)")],
+    ids=["G602", "H602", "S602.0", "D^301", "D^299 H8", "long weight", "long index"],
+)
+def test_weight_and_order_bounds(text, position, message):
+    with pytest.raises(FormSpecError) as info:
+        parse_form_spec(text)
+    assert message in str(info.value)
+    assert info.value.position == position
+
+
+def test_largest_weight_and_order_accepted():
+    assert parse_form_spec("G600") == QuasiForm(eis={(600, 0): 1})
+    assert parse_form_spec("S600.0") == QuasiForm(cusp={(600, 0, 0): 1})
+    assert parse_form_spec("D^300 G4") == QuasiForm(eis={(4, 300): 1})
+    assert parse_form_spec("D^298 H8") == parse_form_spec("H8").derivative(298)
+    assert parse_form_spec("H600") == hk_quasiform(600)
+    assert parse_form_spec("G0004") == QuasiForm(eis={(4, 0): 1})
+
+
 def test_error_carries_position():
     with pytest.raises(FormSpecError) as info:
         parse_form_spec("G4 & G6")
