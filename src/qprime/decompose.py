@@ -9,24 +9,23 @@ add back up, then hand out the certified pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .forms import QuasiForm, from_monomials
 
 __all__ = ["DecompositionResult", "split_eis_cusp"]
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(
+    namedtuple("DecompositionResult", "eis_part cusp_part certificate_precision")
+):
     """Eisenstein and cuspidal parts plus the precision of the certificate.
 
     eis_part carries an empty cusp map, cusp_part an empty eis map, and
     their expansions sum to the input's exactly through q^certificate_precision.
     """
 
-    eis_part: QuasiForm
-    cusp_part: QuasiForm
-    certificate_precision: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -8,8 +8,9 @@ integers.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 __all__ = [
     "Fraction",
@@ -64,16 +65,23 @@ def bernoulli(k: int) -> Fraction:
 def sigma_array(r: int, n_max: int) -> list[int]:
     """[0, sigma_r(1), ..., sigma_r(n_max)]: all divisor-power sums at once.
 
-    Direct divisor accumulation, O(n_max log n_max) additions.  Index 0 is
-    a placeholder 0.
+    Direct divisor accumulation over the pairs (d, j) with d j <= n_max,
+    split at s = isqrt(n_max): each d <= s adds d^r along arr[d::d], and
+    each multiplier j <= n_max // (s + 1) adds the powers of the d > s
+    with d j <= n_max along arr[j(s+1)::j], one slice per d or j.  Index 0
+    is a placeholder 0.
     """
     if n_max < 0:
         raise ValueError(f"sigma_array: n_max must be >= 0, got {n_max}")
     arr = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dr = d**r
-        for m in range(d, n_max + 1, d):
-            arr[m] += dr
+    s = isqrt(n_max)
+    for d in range(1, s + 1):
+        arr[d::d] = map(add, arr[d::d], repeat(d**r))
+    # powers[i] = (s + 1 + i)^r
+    powers = [d**r for d in range(s + 1, n_max + 1)]
+    for j in range(1, n_max // (s + 1) + 1):
+        cut = slice(j * (s + 1), n_max + 1, j)
+        arr[cut] = map(add, arr[cut], powers)
     return arr
 
 

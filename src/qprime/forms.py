@@ -27,10 +27,17 @@ from .exactnum import (
     apply_factor,
     bernoulli,
     factor_exact,
+    integer_numerators,
     rationals_over,
     sigma_array,
 )
-from .qseries import QExpansion, coeff_from_json, linear_combination
+from .qseries import (
+    _FAST_MUL_MIN_PRECISION,
+    QExpansion,
+    _mul_schoolbook,
+    coeff_from_json,
+    linear_combination,
+)
 
 __all__ = [
     "MAX_WEIGHT",
@@ -181,23 +188,31 @@ def cusp_basis(m: int, precision: int) -> list[QExpansion]:
     return [QExpansion(row[: precision + 1], precision) for row in cached]
 
 
-def _build_cusp_basis(m: int, precision: int) -> list[list]:
-    # Miller's rows Delta^{j+1} E_{m-12-12j} (no weight 2), one product each
-    # on powers of Delta shared by the rows.  Row j starts p_j q^{j+1}, p_j
-    # the constant of d E_k (1 for E_0), so clearing the columns from the
-    # last one back by integer row operations and dividing each row by its
-    # pivot gives the echelon basis.  Each updated row is divided by the
-    # gcd of its entries: without that, every column cleared multiplies
-    # the row by a pivot and the entries double in size per column
-    dlt = delta(precision)
+def _miller_weights(m: int) -> list[int]:
+    # k_j of Miller's rows R_j = Delta^{j+1} E_{k_j}, one per basis element;
+    # weight 2 has no E_k and can only come last
+    return [k for k in range(m - 12, -1, -12) if k != 2]
+
+
+def _miller_rows(m: int, precision: int, product):
+    # Miller's rows as coefficient lists through q^precision, with E_k the
+    # integer series d E_k (E_0 = 1): one product each, on powers of Delta
+    # shared by the rows.  R_j starts p_j q^{j+1}, p_j the constant of d E_k
+    # (1 for E_0)
+    dlt = delta(precision).coeffs
     power = dlt
-    rows = []
-    # weight 2 can only come last, so row j is built on Delta^{j+1}
-    for j, k in enumerate(k for k in range(m - 12, -1, -12) if k != 2):
+    for j, k in enumerate(_miller_weights(m)):
         if j:
-            power = power * dlt
-        row = power * _eisenstein_integral(k, precision) if k else power
-        rows.append(row.coeffs)
+            power = product(power, dlt)
+        yield product(power, _eisenstein_integral(k, precision).coeffs) if k else power
+
+
+def _reduce_rows(rows: list) -> list:
+    # clears the column of each row's pivot, q^{j+1} for row j, from the
+    # other rows, from the last column back, by integer row operations.
+    # Each updated row is divided by the gcd of its entries: without that,
+    # every column cleared multiplies the row by a pivot and the entries
+    # double in size per column
     for j in reversed(range(len(rows))):
         pj = rows[j][j + 1]
         for i in range(j):
@@ -206,7 +221,77 @@ def _build_cusp_basis(m: int, precision: int) -> list[list]:
                 row = [pj * x - f * y for x, y in zip(rows[i], rows[j])]
                 g = gcd(*row)
                 rows[i] = [x // g for x in row] if g > 1 else row
+    return rows
+
+
+def _build_cusp_basis(m: int, precision: int) -> list[list]:
+    def product(a, b):
+        x = QExpansion(a, precision)
+        # the same list twice is a square, which packs once
+        return (x * (x if b is a else QExpansion(b, precision))).coeffs
+
+    rows = _reduce_rows(list(_miller_rows(m, precision, product)))
     return [rationals_over(row, row[i + 1]) for i, row in enumerate(rows)]
+
+
+# Horner's rule in Delta takes the combination of Miller's rows, whose
+# coefficients (the transform's entries) grow with the weight much faster
+# than those of the echelon basis: 97 bits at weight 40 and 2703 at weight
+# 120, against 88 and 235.  Past this dimension the basis is the cheaper
+# path (S84.0 at q^2000: 0.71 s by Horner, 0.55 s through the basis)
+_HORNER_MAX_DIM = 6
+
+# the transform of each weight asked for, of dimension at most _HORNER_MAX_DIM
+_MILLER_TRANSFORMS: dict[int, list[list]] = {}
+
+
+def _miller_transform(m: int) -> list[list]:
+    """T with cusp_basis(m)[i] = sum_j T[i][j] R_j over Miller's rows R_j.
+
+    The rows' coefficients at q^1..q^d (d the dimension) form an upper
+    triangular block B, and the echelon basis is T R with T B = 1, so T
+    comes from reducing (B | 1) like the rows themselves: products of
+    lists of d + 1 entries and a d x 2d back-substitution, once per weight.
+    """
+    transform = _MILLER_TRANSFORMS.get(m)
+    if transform is None:
+        d = cusp_dim(m)
+        rows = [
+            row + [int(i == j) for i in range(d)]
+            for j, row in enumerate(
+                _miller_rows(m, d, lambda a, b: _mul_schoolbook(a, b, d))
+            )
+        ]
+        transform = [
+            rationals_over(row[d + 1 :], row[i + 1]) for i, row in enumerate(_reduce_rows(rows))
+        ]
+        _MILLER_TRANSFORMS[m] = transform
+    return transform
+
+
+def _cusp_combination(m: int, gammas: dict, precision: int) -> tuple:
+    """(s, F) with s F = sum gamma_i cusp_basis(m)[i] over {i: gamma_i}.
+
+    With c = gamma T the sum is sum_j c_j R_j, evaluated by Horner's rule
+    in Delta: Delta (c_0 E_{k_0} + Delta (c_1 E_{k_1} + ...)), one product
+    per row and no basis.  F is an integer series: c is scaled to
+    integers without a common factor, and s undoes the scaling.
+    """
+    # Delta first: the transform's short rows then read its cached
+    # coefficients instead of building a short Delta of their own
+    dlt = delta(precision)
+    transform = _miller_transform(m)
+    c = [sum(g * transform[i][j] for i, g in gammas.items()) for j in range(len(transform))]
+    nums, den = integer_numerators(c)
+    content = gcd(*nums)
+    acc = QExpansion.zero(precision)
+    for k, x in reversed(list(zip(_miller_weights(m), nums))):
+        if x:
+            ek = _eisenstein_integral(k, precision) if k else QExpansion.one(precision)
+            acc = linear_combination([(x // content, ek), (1, acc)], precision)
+        # only E_0 = 1 is a constant, and Delta times a constant takes no product
+        acc = dlt * acc if any(acc.coeffs[1:]) else linear_combination([(acc[0], dlt)], precision)
+    return Fraction(content, den), acc
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +451,20 @@ class QuasiForm:
                 else eisenstein_g(k, precision, constant_sign)
             )
             terms.append((coeff, base.derivative(l)))
-        for (m, i, l), coeff in sorted(self.cusp.items()):
-            # a basis needs a precision of at least its dimension; the sum
-            # truncates it back
+        groups = defaultdict(dict)
+        for (m, i, l), coeff in self.cusp.items():
+            groups[(m, l)][i] = coeff
+        for (m, l), gammas in sorted(groups.items()):
+            if precision >= _FAST_MUL_MIN_PRECISION and cusp_dim(m) <= _HORNER_MAX_DIM:
+                # big products: only the combination asked for, no basis
+                scale, series = _cusp_combination(m, gammas, precision)
+                terms.append((scale, series.derivative(l)))
+                continue
+            # small ones: the cached basis, which a session reuses.  A basis
+            # needs a precision of at least its dimension; the sum truncates
+            # it back
             basis = cusp_basis(m, max(precision, cusp_dim(m)))
-            terms.append((coeff, basis[i].derivative(l)))
+            terms += [(coeff, basis[i].derivative(l)) for i, coeff in sorted(gammas.items())]
         return linear_combination(terms, precision)
 
     # -- serialization ------------------------------------------------------

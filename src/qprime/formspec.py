@@ -121,6 +121,13 @@ class _Parser:
                 coeff *= Fraction(token.text)
             except ZeroDivisionError:
                 raise FormSpecError("zero denominator", token.pos) from None
+            except ValueError:
+                # int() refuses a numeral past the interpreter's int/str digit limit
+                raise FormSpecError(
+                    f"number of {len(token.text)} characters exceeds the interpreter's "
+                    "integer digit limit",
+                    token.pos,
+                ) from None
             nxt = self.peek()
             if nxt is not None and nxt.kind == "STAR":
                 self.take()

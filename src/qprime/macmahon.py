@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import is_prime
 
@@ -36,13 +36,13 @@ __all__ = [
 PRIME_RELATION = ([2, -3, 1], [-8])
 
 
-@dataclass(frozen=True)
-class MacMahonTable:
-    """Exact values M_a(n) for 1 <= a <= a_max, 1 <= n <= n_max."""
+class MacMahonTable(namedtuple("MacMahonTable", "a_max n_max values")):
+    """Exact values M_a(n) for 1 <= a <= a_max, 1 <= n <= n_max.
 
-    a_max: int
-    n_max: int
-    values: tuple  # values[a-1][n] = M_a(n); index 0 of each row unused
+    values[a-1][n] = M_a(n); index 0 of each row is unused.
+    """
+
+    __slots__ = ()
 
     def m(self, a: int, n: int) -> int:
         if not 1 <= a <= self.a_max:

@@ -21,7 +21,7 @@ omega_scan is bounded empirical verification over 2 <= n <= N.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import first_primes, is_prime, prime_mask
@@ -57,8 +57,7 @@ NOT_IN_OMEGA_TILDE = "Not"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimePolynomial:
+class PrimePolynomial(namedtuple("PrimePolynomial", "betas degree_bound")):
     """Coefficients beta_0..beta_d of c_f(p) as a polynomial in p.
 
     The array length is the structural degree bound d = max(l + k - 1),
@@ -66,8 +65,7 @@ class PrimePolynomial:
     last (that is the interesting case).
     """
 
-    betas: tuple
-    degree_bound: int
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return all(b == 0 for b in self.betas)
@@ -135,20 +133,20 @@ def coefficient_at_prime(form: QuasiForm, p: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteCheckResult:
+class FiniteCheckResult(
+    namedtuple(
+        "FiniteCheckResult", "verdict degree_bound needed witness", defaults=(None, None)
+    )
+):
     """Outcome of the root-counting check over a supplied list of primes.
 
     verdict is one of VanishesAtAllPrimes, NotAllPrimes (witness holds
     the offending prime and its coefficient), or InsufficientPrimes
     (needed is the sufficient count d+1; degree_bound is d itself, so
-    both numbers behind the count are visible).
+    both numbers behind the count are visible); witness is (p, c_f(p)).
     """
 
-    verdict: str
-    degree_bound: int
-    needed: int | None = None
-    witness: tuple | None = None  # (p, c_f(p))
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out: dict = {"verdict": self.verdict, "degree_bound": self.degree_bound}
@@ -199,20 +197,21 @@ def finite_check(form: QuasiForm, primes) -> FiniteCheckResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaReport:
+class OmegaReport(
+    namedtuple(
+        "OmegaReport",
+        "range_checked nonneg_ok zero_set_equals_primes violations total_violations "
+        "include_small",
+        defaults=((), 0, False),
+    )
+):
     """Result of scanning c_f(n) >= 0 and (c_f(n) = 0 iff n prime).
 
     violations holds at most the configured cap of (n, value, reason)
     entries; total_violations counts all of them, capped or not.
     """
 
-    range_checked: int
-    nonneg_ok: bool
-    zero_set_equals_primes: bool
-    violations: tuple = field(default_factory=tuple)
-    total_violations: int = 0
-    include_small: bool = False
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -289,8 +288,7 @@ def omega_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaTildeResult:
+class OmegaTildeResult(namedtuple("OmegaTildeResult", "verdict witness", defaults=(None,))):
     """InOmegaTilde, or Not with a witness.
 
     The witness is ("cusp", (m, i, l), coefficient) when the canonical
@@ -298,8 +296,7 @@ class OmegaTildeResult:
     ("prime", p, c_f(p)) for a prime where the coefficient is nonzero.
     """
 
-    verdict: str
-    witness: tuple | None = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out: dict = {"verdict": self.verdict}

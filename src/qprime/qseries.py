@@ -10,15 +10,16 @@ interoperate freely).  Every product of rational series runs on integers:
 each operand is scaled once to integer numerators over the lcm of its
 denominators, the integer lists are multiplied, and the product is divided
 back once.  Sums of many scaled series (linear_combination) accumulate
-integer numerators over one denominator the same way.  No other coefficient
-type exists: a complex combination is held as two real series.
+integer numerators over one denominator the same way, and so does a sum
+of two series.  No other coefficient type exists: a complex combination
+is held as two real series.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -28,9 +29,11 @@ from .exactnum import integer_numerators, rationals_over
 __all__ = ["QExpansion", "linear_combination"]
 
 # products at or above this precision go through Kronecker substitution;
-# below it schoolbook convolution runs (and keeps small cases simple).  The
-# benchmark checks CLI output against expansions at q^300 that must take the
-# schoolbook path, independent of the Kronecker one; keep the cutoff above 300
+# below it schoolbook convolution runs (and keeps small cases simple).
+# QuasiForm.expand switches at the same precision from the cached cusp basis
+# to Horner's rule in Delta.  The benchmark checks CLI output against
+# expansions at q^300 that must take the schoolbook and basis paths,
+# independent of the Kronecker and Horner ones; keep the cutoff above 300
 _FAST_MUL_MIN_PRECISION = 384
 
 # exact arithmetic for the Kronecker product, kept apart from the thread's
@@ -101,15 +104,14 @@ class QExpansion:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
+        # through linear_combination, whose scaling to integers raises
+        # TypeError for a coefficient that is neither an int nor a Fraction
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
-            return QExpansion(
-                [a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])], n
-            )
+            return linear_combination([(1, self), (1, other)], n)
         if isinstance(other, (int, Fraction)):
-            out = list(self.coeffs)
-            out[0] = out[0] + other
-            return QExpansion(out, self.precision)
+            one = QExpansion.one(self.precision)
+            return linear_combination([(1, self), (other, one)], self.precision)
         return NotImplemented
 
     __radd__ = __add__
@@ -264,11 +266,12 @@ def _mul_kronecker(a, b, n: int):
     with a number-theoretic transform, where CPython ints stop at
     Karatsuba.  Every coefficient c of either operand or of the full
     product satisfies |c| < 10^w, so c + 5*10^w has exactly w+1 digits: a
-    limb is written and read with that offset, and the packed operands
-    and the product take the offsets off and put them back in one
-    addition each.  Limbs convert through str and int while they fit under
-    every int/str digit limit an interpreter allows, and through Decimal
-    beyond it, so coefficients of any size pack.
+    limb is written and read with that offset: the packed operands take
+    the offsets off in one subtraction, and the product puts back those of
+    its low n + 1 limbs, the only ones read.  Limbs convert through str
+    and int while they fit under every int/str digit limit an interpreter
+    allows, and through Decimal beyond it, so coefficients of any size
+    pack.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * (n + 1)
     if not bound:
@@ -286,18 +289,21 @@ def _mul_kronecker(a, b, n: int):
         def to_int(s):
             return int(_EXACT.create_decimal(s))
 
-    offsets = ("5" + "0" * w) * (2 * n + 1)
     size = (w + 1) * (n + 1)
-    low_offsets = _EXACT.create_decimal(offsets[:size])
+    offsets = _EXACT.create_decimal(("5" + "0" * w) * (n + 1))
 
     def pack(c):
         digits = "".join([to_str(x + half) for x in reversed(c)])
-        return _EXACT.subtract(_EXACT.create_decimal(digits), low_offsets)
+        return _EXACT.subtract(_EXACT.create_decimal(digits), offsets)
 
     pa = pack(a)
     pb = pa if b is a else pack(b)
-    shifted = _EXACT.add(_EXACT.multiply(pa, pb), _EXACT.create_decimal(offsets))
-    # the exponent is 0 and every limb has w+1 digits, so the string is the
-    # plain digits, most significant first: the low n + 1 limbs are its tail
+    # with the offsets, the low n + 1 limbs are c_k + 5*10^w, no borrow
+    # between them.  What lies above them is less than 10^(2 size) in
+    # magnitude, so adding that power keeps the number positive.  The
+    # exponent is 0 and the low limbs have w+1 digits each, so the string
+    # is the plain digits, most significant first, and they are its tail
+    top = Decimal((0, (1,), 2 * size))
+    shifted = _EXACT.add(_EXACT.add(_EXACT.multiply(pa, pb), offsets), top)
     digits = str(shifted)[-size:]
     return [to_int(digits[i - w - 1 : i]) - half for i in range(size, 0, -w - 1)]

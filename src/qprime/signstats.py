@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import primes_up_to
@@ -69,8 +69,7 @@ def count_sign_changes(values) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
+class ExponentProfile(namedtuple("ExponentProfile", "terms alpha0 beta0 m_set eigenbasis")):
     """Growth exponents per cusp term and their maxima.
 
     terms is sorted by key; each entry is (m, i, j, coefficient, alpha,
@@ -81,11 +80,7 @@ class ExponentProfile:
     alpha0 and beta0 unchanged (they depend only on (m, j)).
     """
 
-    terms: tuple
-    alpha0: Fraction
-    beta0: Fraction
-    m_set: tuple
-    eigenbasis: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -138,8 +133,11 @@ def exponent_profile(form: QuasiForm) -> ExponentProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignStatsReport:
+class SignStatsReport(
+    namedtuple(
+        "SignStatsReport", "x_max sign_changes partial_sum partial_sum_sq normalized_sq"
+    )
+):
     """Exact prime-sum data at grid points, plus one floating column.
 
     partial_sum and partial_sum_sq are exact; normalized_sq holds
@@ -148,11 +146,7 @@ class SignStatsReport:
     has Eisenstein terms (no growth profile applies).
     """
 
-    x_max: int
-    sign_changes: int
-    partial_sum: tuple
-    partial_sum_sq: tuple
-    normalized_sq: tuple
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -224,20 +218,20 @@ def _normalized(s, x: int, beta0) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeligneReport:
+class DeligneReport(
+    namedtuple(
+        "DeligneReport",
+        "weight x_max passed worst_prime worst_ratio failures",
+        defaults=((),),
+    )
+):
     """Outcome of checking a(p)^2 <= 4 p^{m-1} for all primes p <= x_max.
 
     The pass/fail decision is exact integer arithmetic; worst_ratio is
     the floating value max |a(p)| / (2 p^{(m-1)/2}), diagnostic only.
     """
 
-    weight: int
-    x_max: int
-    passed: bool
-    worst_prime: int
-    worst_ratio: float
-    failures: tuple = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprime.cli import main
 from qprime.formspec import parse_form_spec
@@ -237,6 +241,46 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "expand", "G4 %% junk")
     assert code == 2
     assert "position" in err
+
+
+def test_number_past_the_digit_limit_is_a_grammar_error(capsys):
+    # int() refuses a numeral of more digits than the interpreter's limit
+    # (4300 by default); the grammar reports it with its position
+    code, out, err = run_cli(capsys, "expand", "G6 + " + "1" * 5000 + " G4", "--precision", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: number of 5000 characters") and "(position 5)" in err
+    code, _, err = run_cli(capsys, "expand", "1/" + "7" * 5000 + " G4", "--precision", "2")
+    assert code == 2 and "(position 0)" in err
+
+
+_SPEC_ALPHABET = "GHSDELTA0123456789./*+-^ ()"
+_VALID_SPECS = ("G4", "3/2 D^2 G4 + DELTA - 2 S16.0", "H8 - 1/24 D G6", "S24.1 + 5",
+                "-D^3 S40.2 * 2", "7 * H10")
+
+
+@st.composite
+def _near_miss(draw):
+    # a valid spec with one character inserted, deleted or replaced
+    spec = draw(st.sampled_from(_VALID_SPECS))
+    at = draw(st.integers(0, len(spec)))
+    char = draw(st.sampled_from(_SPEC_ALPHABET))
+    return draw(st.sampled_from([spec[:at] + char + spec[at:], spec[:at] + spec[at + 1:],
+                                 spec[:at] + char + spec[at + 1:]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(_SPEC_ALPHABET, max_size=24), _near_miss()))
+def test_expand_never_raises_on_any_spec(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["expand", spec, "--precision", "2"])
+    assert code in (0, 2), (spec, err.getvalue())
+    if code == 0:
+        assert len(json.loads(out.getvalue())["coeffs"]) == 3
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
 
 
 def test_usage_error_exit_code(capsys):

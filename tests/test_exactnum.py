@@ -85,6 +85,22 @@ def test_sigma_array_matches_sigma():
             assert arr[n] == sigma(r, n)
 
 
+@pytest.mark.parametrize("r", [0, 1, 3, 5, 11, 27])
+def test_sigma_array_matches_sigma_everywhere(r):
+    # the table splits its divisor pairs at isqrt(n_max), so every n_max
+    # through 40 and the squares of 44 and 45 with their neighbours move
+    # that split across small and large divisors
+    full = [0] + [sigma(r, n) for n in range(1, 2001)]
+    assert sigma_array(r, 2000) == full
+    for n_max in [*range(41), 1935, 1936, 1937, 2024, 2025]:
+        expected = full[: n_max + 1] if n_max <= 2000 else [0] + [
+            sigma(r, n) for n in range(1, n_max + 1)
+        ]
+        assert sigma_array(r, n_max) == expected, n_max
+    assert sigma_array(r, 0) == [0]
+    assert sigma_array(r, 1) == [0, 1]
+
+
 def test_sigma_array_spot_check_large():
     arr = sigma_array(1, 10**4)
     n = 9973  # prime

@@ -8,6 +8,7 @@ and every conversion is certified by re-expansion.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -28,7 +29,7 @@ from qprime.forms import (
     spanning_keys,
     _classicalize,
 )
-from qprime.qseries import QExpansion
+from qprime.qseries import QExpansion, linear_combination
 
 
 def _e_normalized(k, n):
@@ -231,6 +232,14 @@ def test_cusp_basis_spans_every_monomial_past_the_cutoff(m):
         assert target.coeffs[1 : len(basis) + 1] == sol
 
 
+# the oracle basis at q^1000 serves two tests
+_gauss_jordan = lru_cache(maxsize=None)(cusp_basis_by_gauss_jordan)
+
+
+def _typed(coeffs):
+    return [(type(c), c) for c in coeffs]
+
+
 @pytest.mark.parametrize("n", [100, 400, 1000])
 def test_cusp_basis_matches_the_gauss_jordan_oracle(monkeypatch, n):
     # Miller's rows with integer back-substitution against the monomials
@@ -241,7 +250,7 @@ def test_cusp_basis_matches_the_gauss_jordan_oracle(monkeypatch, n):
         monkeypatch.setattr(forms_module, "_CUSP_CACHE", {})
         basis = cusp_basis(m, n)
         assert len(basis) == cusp_dim(m), m
-        expected = cusp_basis_by_gauss_jordan(m, n)
+        expected = _gauss_jordan(m, n)
         assert [[(type(c), c) for c in f.coeffs] for f in basis] == [
             [(type(c), c) for c in row] for row in expected
         ], m
@@ -256,6 +265,47 @@ def test_cusp_basis_at_a_high_weight_matches_the_oracle(monkeypatch):
     assert [[(type(c), c) for c in f.coeffs] for f in basis] == [
         [(type(c), c) for c in row] for row in expected
     ]
+
+
+@pytest.mark.parametrize("n", [383, 384, 1000])
+def test_expand_of_a_cusp_combination_matches_the_basis_and_the_oracle(monkeypatch, n):
+    # from the cutoff on, expand evaluates the combination by Horner's rule
+    # in Delta and builds no basis; below it, it combines the cached basis
+    monkeypatch.setattr(forms_module, "_MILLER_TRANSFORMS", {})
+    rng = random.Random(n)
+    for m in range(12, 74, 2):
+        d = cusp_dim(m)
+        if d == 0:
+            continue
+        indices = rng.sample(range(d), rng.randint(1, d))
+        gammas = {i: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                  for i in indices}
+        l = rng.randint(0, 2)
+        monkeypatch.setattr(forms_module, "_CUSP_CACHE", {})
+        got = QuasiForm(cusp={(m, i, l): g for i, g in gammas.items()}).expand(n)
+        assert (m in forms_module._MILLER_TRANSFORMS) == (n >= 384), m
+        assert (m in forms_module._CUSP_CACHE) == (n < 384), m
+        rows = [f.coeffs for f in cusp_basis(m, n)]
+        for basis in (rows, _gauss_jordan(m, n)):
+            expected = linear_combination(
+                [(g, QExpansion(basis[i], n).derivative(l)) for i, g in gammas.items()], n
+            )
+            assert _typed(got.coeffs) == _typed(expected.coeffs), (m, n)
+
+
+def test_expand_past_the_horner_dimension_combines_the_basis(monkeypatch):
+    # dimension 7: the transform's entries outgrow the basis rows, so expand
+    # keeps to the basis even above the cutoff
+    monkeypatch.setattr(forms_module, "_MILLER_TRANSFORMS", {})
+    assert cusp_dim(84) == forms_module._HORNER_MAX_DIM + 1
+    form = QuasiForm(cusp={(84, 0, 1): Fraction(2, 3), (84, 6, 1): -5})
+    got = form.expand(400)
+    basis = cusp_basis(84, 400)
+    expected = linear_combination(
+        [(Fraction(2, 3), basis[0].derivative()), (-5, basis[6].derivative())], 400
+    )
+    assert _typed(got.coeffs) == _typed(expected.coeffs)
+    assert forms_module._MILLER_TRANSFORMS == {}
 
 
 def test_cusp_basis_rejects_odd_weight_and_tiny_precision():

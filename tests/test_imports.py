@@ -41,6 +41,28 @@ def test_expand_loads_only_what_it_runs(tmp_path):
     assert out.read_text().startswith("{")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signstats", "S16.0 - D DELTA", "--bound", "50"],
+        ["deligne", "--weight", "16", "--bound", "50"],
+        ["decide", "H8", "--bound", "50"],
+        ["finite-check", "G4 - G6"],
+        ["decompose", "G4 + DELTA"],
+        ["macmahon", "--bound", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_subcommands_load_no_dataclasses(tmp_path, argv):
+    # their reports are named tuples, and every interpreter has loaded
+    # collections by the time it runs main
+    out = tmp_path / "out"
+    argv = [*argv, "--output", str(out)]
+    loaded = loaded_after(f"import qprime.cli\nassert qprime.cli.main({argv!r}) in (0, 1)")
+    assert "dataclasses" not in loaded
+    assert out.read_text()
+
+
 def test_every_public_name_resolves():
     for name in qprime.__all__:
         assert getattr(qprime, name) is not None, name

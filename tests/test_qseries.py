@@ -231,6 +231,22 @@ def test_float_coefficients_raise_in_products_and_sums():
         linear_combination([(0.5, g)], 2)
     with pytest.raises(TypeError):
         g * 0.5
+    # sums scale to integers like products, and so check the same types
+    for total in (lambda: f + g, lambda: g + f, lambda: g - f, lambda: f - g,
+                  lambda: f + 1, lambda: 1 - f, lambda: g + 0.5):
+        with pytest.raises(TypeError):
+            total()
+
+
+def test_sums_are_exact_and_normalized():
+    half = QExpansion([Fraction(1, 2), Fraction(1, 3), 2])
+    total = half + half
+    assert total.coeffs == [1, Fraction(2, 3), 4]
+    assert [type(c) for c in total.coeffs] == [int, Fraction, int]
+    assert (half - half).coeffs == [0, 0, 0]
+    assert (half + Fraction(1, 2)).coeffs == [1, Fraction(1, 3), 2]
+    assert (2 - half).coeffs == [Fraction(3, 2), Fraction(-1, 3), -2]
+    assert (half + QExpansion([1, 1])).coeffs == [Fraction(3, 2), Fraction(4, 3)]
 
 
 def test_truncate():
