@@ -151,13 +151,14 @@ def integer_numerators(values):
     """(nums, den) with values[i] == nums[i] / den, den the lcm of denominators.
 
     Every value must be an int or a Fraction, the only coefficient types;
-    anything else (a float, say) raises TypeError.
+    anything else (a float, or a bool, which would print as "True") raises
+    TypeError.  The result is in lowest terms: gcd(den, *nums) == 1.
     """
     den = 1
     all_int = True
     for v in values:
         if type(v) is not int:
-            if not isinstance(v, (int, Fraction)):
+            if type(v) is bool or not isinstance(v, (int, Fraction)):
                 raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
             all_int = False
             den = lcm(den, v.denominator)

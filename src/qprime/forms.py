@@ -21,16 +21,11 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
+from operator import mul
 
-from .exactnum import (
-    apply_factor,
-    bernoulli,
-    factor_exact,
-    integer_numerators,
-    rationals_over,
-    sigma_array,
-)
+from .exactnum import apply_factor, bernoulli, factor_exact, rationals_over, sigma_array
 from .qseries import (
     _FAST_MUL_MIN_PRECISION,
     QExpansion,
@@ -62,12 +57,6 @@ __all__ = [
 # term's graded weight within twice it
 MAX_WEIGHT = 600
 MAX_ORDER = 300
-
-
-def _intify(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def _constant_factor(constant_sign: str) -> int:
@@ -102,16 +91,7 @@ def eisenstein_g(k: int, precision: int, constant_sign: str = "paper") -> QExpan
         raise ValueError(f"eisenstein_g: weight must be even and >= 2, got {k}")
     const = _constant_factor(constant_sign) * bernoulli(k) / (2 * k)
     sig = _sigma_list(k - 1, precision)
-    return QExpansion([_intify(const)] + sig[1 : precision + 1], precision)
-
-
-def _eisenstein_integral(k: int, precision: int) -> QExpansion:
-    # d E_k with integer coefficients, for E_k = -B_k/(2k) + sum
-    # sigma_{k-1}(n) q^n and d the denominator of B_k/(2k)
-    const = -bernoulli(k) / (2 * k)
-    d = const.denominator
-    sig = _sigma_list(k - 1, precision)
-    return QExpansion([const.numerator] + [d * s for s in sig[1 : precision + 1]])
+    return QExpansion([const] + sig[1 : precision + 1], precision)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +142,8 @@ def cusp_dim(m: int) -> int:
     return m // 12 - (m % 12 == 2)
 
 
-# echelonized basis rows at the longest precision computed so far, per weight
-_CUSP_CACHE: dict[int, list[list]] = {}
+# echelonized basis at the longest precision computed so far, per weight
+_CUSP_CACHE: dict[int, list[QExpansion]] = {}
 
 
 def cusp_basis(m: int, precision: int) -> list[QExpansion]:
@@ -182,10 +162,10 @@ def cusp_basis(m: int, precision: int) -> list[QExpansion]:
             f"cusp_basis: precision {precision} cannot exhibit dimension {d}"
         )
     cached = _CUSP_CACHE.get(m)
-    if cached is None or len(cached[0]) <= precision:
+    if cached is None or cached[0].precision < precision:
         cached = _build_cusp_basis(m, precision)
         _CUSP_CACHE[m] = cached
-    return [QExpansion(row[: precision + 1], precision) for row in cached]
+    return [f.truncate(precision) for f in cached]
 
 
 def _miller_weights(m: int) -> list[int]:
@@ -196,15 +176,15 @@ def _miller_weights(m: int) -> list[int]:
 
 def _miller_rows(m: int, precision: int, product):
     # Miller's rows as coefficient lists through q^precision, with E_k the
-    # integer series d E_k (E_0 = 1): one product each, on powers of Delta
-    # shared by the rows.  R_j starts p_j q^{j+1}, p_j the constant of d E_k
-    # (1 for E_0)
+    # integer series d E_k, the numerators of E_k over its denominator d
+    # (E_0 = 1): one product each, on powers of Delta shared by the rows.
+    # R_j starts p_j q^{j+1}, p_j the constant of d E_k (1 for E_0)
     dlt = delta(precision).coeffs
     power = dlt
     for j, k in enumerate(_miller_weights(m)):
         if j:
             power = product(power, dlt)
-        yield product(power, _eisenstein_integral(k, precision).coeffs) if k else power
+        yield product(power, eisenstein_g(k, precision, "classical").nums) if k else power
 
 
 def _reduce_rows(rows: list) -> list:
@@ -224,14 +204,15 @@ def _reduce_rows(rows: list) -> list:
     return rows
 
 
-def _build_cusp_basis(m: int, precision: int) -> list[list]:
+def _build_cusp_basis(m: int, precision: int) -> list[QExpansion]:
     def product(a, b):
         x = QExpansion(a, precision)
         # the same list twice is a square, which packs once
         return (x * (x if b is a else QExpansion(b, precision))).coeffs
 
     rows = _reduce_rows(list(_miller_rows(m, precision, product)))
-    return [rationals_over(row, row[i + 1]) for i, row in enumerate(rows)]
+    # element i is row i over its pivot
+    return [QExpansion(row) * Fraction(1, row[i + 1]) for i, row in enumerate(rows)]
 
 
 # Horner's rule in Delta takes the combination of Miller's rows, whose
@@ -269,29 +250,27 @@ def _miller_transform(m: int) -> list[list]:
     return transform
 
 
-def _cusp_combination(m: int, gammas: dict, precision: int) -> tuple:
-    """(s, F) with s F = sum gamma_i cusp_basis(m)[i] over {i: gamma_i}.
+def _cusp_combination(m: int, gammas: dict, precision: int) -> QExpansion:
+    """sum gamma_i cusp_basis(m)[i] over {i: gamma_i}, without the basis.
 
     With c = gamma T the sum is sum_j c_j R_j, evaluated by Horner's rule
     in Delta: Delta (c_0 E_{k_0} + Delta (c_1 E_{k_1} + ...)), one product
-    per row and no basis.  F is an integer series: c is scaled to
-    integers without a common factor, and s undoes the scaling.
+    per row and no basis.
     """
     # Delta first: the transform's short rows then read its cached
     # coefficients instead of building a short Delta of their own
     dlt = delta(precision)
     transform = _miller_transform(m)
-    c = [sum(g * transform[i][j] for i, g in gammas.items()) for j in range(len(transform))]
-    nums, den = integer_numerators(c)
-    content = gcd(*nums)
     acc = QExpansion.zero(precision)
-    for k, x in reversed(list(zip(_miller_weights(m), nums))):
-        if x:
-            ek = _eisenstein_integral(k, precision) if k else QExpansion.one(precision)
-            acc = linear_combination([(x // content, ek), (1, acc)], precision)
+    for j, k in reversed(list(enumerate(_miller_weights(m)))):
+        c = sum(g * transform[i][j] for i, g in gammas.items())
+        if c:
+            ek = eisenstein_g(k, precision, "classical") if k else QExpansion.one(precision)
+            # the rows hold d E_k, d = ek.den the denominator of E_k
+            acc = linear_combination([(c * ek.den, ek), (1, acc)], precision)
         # only E_0 = 1 is a constant, and Delta times a constant takes no product
-        acc = dlt * acc if any(acc.coeffs[1:]) else linear_combination([(acc[0], dlt)], precision)
-    return Fraction(content, den), acc
+        acc = dlt * acc if any(acc.nums[1:]) else dlt * acc[0]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +310,7 @@ def _check_coeff(value, where):
         raise TypeError(
             f"QuasiForm: coefficient at {where} must be an int or a Fraction, got {value!r}"
         )
-    return _intify(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class QuasiForm:
@@ -457,8 +436,7 @@ class QuasiForm:
         for (m, l), gammas in sorted(groups.items()):
             if precision >= _FAST_MUL_MIN_PRECISION and cusp_dim(m) <= _HORNER_MAX_DIM:
                 # big products: only the combination asked for, no basis
-                scale, series = _cusp_combination(m, gammas, precision)
-                terms.append((scale, series.derivative(l)))
+                terms.append((1, _cusp_combination(m, gammas, precision).derivative(l)))
                 continue
             # small ones: the cached basis, which a session reuses.  A basis
             # needs a precision of at least its dimension; the sum truncates
@@ -551,22 +529,17 @@ def expand_monomials(
 ) -> QExpansion:
     """Expand sum coeff * G_2^a G_4^b G_6^c over {(a, b, c): coeff}.
 
-    Each G_k is d_k times an integer series g_k, with d_k the denominator
-    of its constant term, so every product is a product of integer series;
-    the powers g_k^e are built once per call and shared by the monomials.
+    The powers G_k^e are built once per call, each from the next lower
+    one, and shared by the monomials.
     """
     powers: dict = {}
 
     def power(k, e):
-        # (g_k^e, d_k^e), each power built from the next lower one
         if (k, e) not in powers:
             if e == 1:
-                g = eisenstein_g(k, precision, constant_sign)
-                d = Fraction(g[0]).denominator
-                powers[(k, e)] = QExpansion([int(d * c) for c in g.coeffs], precision), d
+                powers[(k, e)] = eisenstein_g(k, precision, constant_sign)
             else:
-                (lower, d_lower), (g, d) = power(k, e - 1), power(k, 1)
-                powers[(k, e)] = lower * g, d_lower * d
+                powers[(k, e)] = power(k, e - 1) * power(k, 1)
         return powers[(k, e)]
 
     terms = []
@@ -575,15 +548,8 @@ def expand_monomials(
             raise ValueError(f"expand_monomials: negative exponent in {(a, b, c)}")
         if coeff == 0:
             continue
-        term, den = None, 1
-        for k, e in ((2, a), (4, b), (6, c)):
-            if e:
-                factor, d = power(k, e)
-                term = factor if term is None else term * factor
-                den *= d
-        if term is None:
-            term = QExpansion.one(precision)
-        terms.append((coeff * Fraction(1, den), term))
+        factors = [power(k, e) for k, e in ((2, a), (4, b), (6, c)) if e]
+        terms.append((coeff, reduce(mul, factors or [QExpansion.one(precision)])))
     return linear_combination(terms, precision)
 
 

@@ -17,8 +17,6 @@ holds exactly when n is prime (degenerating to 0 = 0 at n in {1, 2}).
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 
 from .exactnum import is_prime
@@ -53,6 +51,10 @@ class MacMahonTable(namedtuple("MacMahonTable", "a_max n_max values")):
 
     def to_csv(self) -> str:
         """Rows n, columns M_1..M_{a_max}; identity column when M_2 exists."""
+        # imported here, so that JSON output does not load them
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.writer(out)
         header = ["n"] + [f"M_{a}" for a in range(1, self.a_max + 1)]

@@ -315,14 +315,14 @@ class OmegaTildeResult(namedtuple("OmegaTildeResult", "verdict witness", default
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def omega_tilde_decide(form: QuasiForm, prime_search_factor: int = 10) -> OmegaTildeResult:
+def omega_tilde_decide(form: QuasiForm) -> OmegaTildeResult:
     """Decide whether every prime coefficient of the form vanishes.
 
     The decision is complete: a cuspidal component is an immediate
-    witness, and for the Eisenstein rest the prime polynomial vanishes
-    identically or else has a nonzero value at one of the first d+1
-    primes.  The witness search covers prime_search_factor * (d+1)
-    primes only as slack for reporting, not for correctness.
+    witness.  Otherwise the prime polynomial either vanishes identically,
+    or it is nonzero of degree at most d and so has at most d roots: one
+    of the first d+1 primes gives a nonzero value, and only those are
+    searched.  The witness is the first of them.
     """
     if form.cusp:
         key = min(form.cusp)
@@ -332,7 +332,7 @@ def omega_tilde_decide(form: QuasiForm, prime_search_factor: int = 10) -> OmegaT
     poly = prime_polynomial(form)
     if poly.is_zero():
         return OmegaTildeResult(verdict=IN_OMEGA_TILDE)
-    for p in first_primes(prime_search_factor * (poly.degree_bound + 1)):
+    for p in first_primes(poly.degree_bound + 1):
         value = coefficient_at_prime(form, p)
         if value != 0:
             return OmegaTildeResult(

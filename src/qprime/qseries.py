@@ -5,14 +5,15 @@ Arithmetic between two expansions truncates to the smaller precision, and
 equality likewise compares only up to the common precision; the precision
 is explicit data, never implicit.
 
-Coefficients are Python ints where possible and Fraction otherwise (they
-interoperate freely).  Every product of rational series runs on integers:
-each operand is scaled once to integer numerators over the lcm of its
-denominators, the integer lists are multiplied, and the product is divided
-back once.  Sums of many scaled series (linear_combination) accumulate
-integer numerators over one denominator the same way, and so does a sum
-of two series.  No other coefficient type exists: a complex combination
-is held as two real series.
+A series is stored as integer numerators `nums` over one denominator
+`den` >= 1, in lowest terms: gcd(den, *nums) == 1.  The constructor scales
+its int/Fraction input once, over the lcm of the denominators, and every
+operation then works on the numerators: a product multiplies the two
+integer lists and the denominators, a linear combination adds numerators
+over the lcm of its denominators, and each result is reduced by one gcd.
+`coeffs` reads the values back, an int wherever the value is integral and
+a Fraction otherwise; int and Fraction are the only coefficient types,
+and a complex combination is held as two real series.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .exactnum import integer_numerators, rationals_over
@@ -49,10 +50,11 @@ _STR_DIGITS = 640
 class QExpansion:
     """Truncated q-series: coefficients c(0), ..., c(N) for exponents up to N.
 
-    Treat instances as immutable; operations always build new ones.
+    c(n) = nums[n] / den.  Treat instances as immutable; operations always
+    build new ones.
     """
 
-    __slots__ = ("precision", "coeffs")
+    __slots__ = ("precision", "nums", "den")
 
     def __init__(self, coeffs, precision: int | None = None):
         coeffs = list(coeffs)
@@ -67,7 +69,15 @@ class QExpansion:
         elif len(coeffs) > precision + 1:
             coeffs = coeffs[: precision + 1]
         self.precision = precision
-        self.coeffs = coeffs
+        # raises TypeError for anything but an int or a Fraction (a bool
+        # too); over the lcm of the denominators the numerators share no
+        # factor with it, so the result is in lowest terms
+        self.nums, self.den = integer_numerators(coeffs)
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients as a new list: an int where integral, else a Fraction."""
+        return rationals_over(self.nums, self.den)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -82,7 +92,7 @@ class QExpansion:
     def __getitem__(self, n: int):
         if not 0 <= n <= self.precision:
             raise IndexError(f"coefficient of q^{n} not known at precision {self.precision}")
-        return self.coeffs[n]
+        return rationals_over(self.nums[n : n + 1], self.den)[0]
 
     def truncate(self, precision: int) -> "QExpansion":
         if precision > self.precision:
@@ -91,21 +101,19 @@ class QExpansion:
             )
         if precision == self.precision:
             return self
-        return QExpansion(self.coeffs[: precision + 1], precision)
+        return _series(self.nums[: precision + 1], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:6])
+        shown = ", ".join(map(str, rationals_over(self.nums[:6], self.den)))
         tail = ", ..." if self.precision > 5 else ""
         return f"QExpansion(N={self.precision}; {shown}{tail})"
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        # through linear_combination, whose scaling to integers raises
-        # TypeError for a coefficient that is neither an int nor a Fraction
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
             return linear_combination([(1, self), (1, other)], n)
@@ -123,18 +131,19 @@ class QExpansion:
         return (-self) + other
 
     def __neg__(self):
-        return QExpansion([-c for c in self.coeffs], self.precision)
+        return _series([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
-            ia, den_a = integer_numerators(self.coeffs[: n + 1])
+            a = self.nums[: n + 1]
             # a square hands _mul_kronecker one list twice, which packs it once
-            ib, den_b = (ia, den_a) if other is self else integer_numerators(other.coeffs[: n + 1])
+            b = a if other is self else other.nums[: n + 1]
             mul_int = _mul_kronecker if n >= _FAST_MUL_MIN_PRECISION else _mul_schoolbook
-            return QExpansion(rationals_over(mul_int(ia, ib, n), den_a * den_b), n)
+            return _series(mul_int(a, b, n), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return QExpansion([c * other for c in self.coeffs], self.precision)
+            p = other.numerator
+            return _series([p * x for x in self.nums], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -145,9 +154,7 @@ class QExpansion:
             raise ValueError(f"derivative order must be >= 0, got {order}")
         if order == 0:
             return self
-        return QExpansion(
-            [(n**order) * c for n, c in enumerate(self.coeffs)], self.precision
-        )
+        return _series([(n**order) * x for n, x in enumerate(self.nums)], self.den)
 
     # -- comparison ---------------------------------------------------------
 
@@ -156,7 +163,9 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         n = min(self.precision, other.precision)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        # both in lowest terms, so equal values have equal numerators
+        a, b = self.truncate(n), other.truncate(n)
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # equality is truncating, so hashing would mislead
 
@@ -221,25 +230,37 @@ def coeff_from_json(value, source: str, where):
     return f.numerator if f.denominator == 1 else f
 
 
+def _series(nums: list, den: int = 1) -> QExpansion:
+    # the series nums/den of precision len(nums) - 1, for den >= 1 and
+    # integer nums, reduced by one gcd
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    f = object.__new__(QExpansion)
+    f.precision, f.nums, f.den = len(nums) - 1, nums, den
+    return f
+
+
 def linear_combination(terms, precision: int) -> QExpansion:
     """sum of c * f over the (c, f) pairs, truncated at q^precision.
 
     Every series must be known to at least that precision.  The terms add
-    up as integer numerators over one common denominator, divided back
-    once at the end.
+    up as integer numerators over the lcm of their denominators.
     """
     scaled = []
     den = 1
     for c, f in terms:
-        ints, d = integer_numerators(f.truncate(precision).coeffs)
-        c = Fraction(c, d)
-        scaled.append((c, ints))
+        f = f.truncate(precision)
+        c = Fraction(c, f.den)
+        scaled.append((c, f.nums))
         den = lcm(den, c.denominator)
     acc = [0] * (precision + 1)
-    for c, ints in scaled:
+    for c, nums in scaled:
         m = c.numerator * (den // c.denominator)
-        acc = [x + m * y for x, y in zip(acc, ints)]
-    return QExpansion(rationals_over(acc, den), precision)
+        acc = [x + m * y for x, y in zip(acc, nums)]
+    return _series(acc, den)
 
 
 # ---------------------------------------------------------------------------

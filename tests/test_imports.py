@@ -63,6 +63,14 @@ def test_report_subcommands_load_no_dataclasses(tmp_path, argv):
     assert out.read_text()
 
 
+def test_macmahon_json_loads_no_csv():
+    # csv is imported only to write CSV
+    argv = ["macmahon", "--bound", "10"]
+    loaded = loaded_after(f"import qprime.cli\nassert qprime.cli.main({argv!r}) == 0")
+    assert "qprime.macmahon" in loaded
+    assert "csv" not in loaded
+
+
 def test_every_public_name_resolves():
     for name in qprime.__all__:
         assert getattr(qprime, name) is not None, name
