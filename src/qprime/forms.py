@@ -25,11 +25,19 @@ from functools import reduce
 from math import comb, gcd
 from operator import mul
 
-from .exactnum import apply_factor, bernoulli, factor_exact, rationals_over, sigma_array
+from .exactnum import (
+    apply_factor,
+    bernoulli,
+    factor_exact,
+    integer_numerators,
+    rationals_over,
+    sigma_array,
+)
 from .qseries import (
     _FAST_MUL_MIN_PRECISION,
     QExpansion,
     _mul_schoolbook,
+    _series,
     coeff_from_json,
     linear_combination,
 )
@@ -89,9 +97,40 @@ def eisenstein_g(k: int, precision: int, constant_sign: str = "paper") -> QExpan
     """G_k at the given precision: constant B_k/(2k), then sigma_{k-1}(n)."""
     if k < 2 or k % 2 != 0:
         raise ValueError(f"eisenstein_g: weight must be even and >= 2, got {k}")
+    if precision < 0:
+        raise ValueError(f"eisenstein_g: precision must be >= 0, got {precision}")
     const = _constant_factor(constant_sign) * bernoulli(k) / (2 * k)
+    # over d, the denominator of the constant: numerators num(const), then
+    # d sigma_{k-1}(n), already in lowest terms
+    d = const.denominator
     sig = _sigma_list(k - 1, precision)
-    return QExpansion([const] + sig[1 : precision + 1], precision)
+    return _series([const.numerator] + [d * s for s in sig[1 : precision + 1]], d)
+
+
+def _eisenstein_part(eis: dict, precision: int, constant_sign: str) -> QExpansion:
+    # sum c_{k,l} D^l G_k (+ c_0 at the key (0, 0)) in one integer pass: the
+    # coefficients over their lcm, P_k(n) = sum_l c_{k,l} n^l by Horner's
+    # rule, sigma_{k-1}(n) P_k(n) summed over k; only l = 0 reaches q^0
+    nums, den = integer_numerators(list(eis.values()))
+    polys: dict = defaultdict(dict)
+    for (k, l), c in zip(eis, nums):
+        polys[k][l] = c
+    const = Fraction(polys.pop(0, {}).get(0, 0))
+    sign = _constant_factor(constant_sign)
+    ns = range(1, precision + 1)
+    acc = [0] * precision
+    for k, poly in polys.items():
+        top = max(poly)
+        vals = [poly[top]] * precision
+        for l in range(top - 1, -1, -1):
+            c = poly.get(l, 0)
+            vals = [v * n + c for v, n in zip(vals, ns)]
+        sig = _sigma_list(k - 1, precision)[1 : precision + 1]
+        acc = [a + s * v for a, s, v in zip(acc, sig, vals)]
+        if 0 in poly:
+            const += poly[0] * sign * bernoulli(k) / (2 * k)
+    q = const.denominator
+    return _series([const.numerator] + [q * a for a in acc], q * den)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +343,11 @@ def hk(k: int, precision: int, constant_sign: str = "paper") -> QExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _check_coeff(value, where):
+def _check_coeff(value, where, source="QuasiForm"):
     # a bool is an int to Python, but would print as "True"
     if type(value) is bool or not isinstance(value, (int, Fraction)):
         raise TypeError(
-            f"QuasiForm: coefficient at {where} must be an int or a Fraction, got {value!r}"
+            f"{source}: coefficient at {where} must be an int or a Fraction, got {value!r}"
         )
     return value.numerator if value.denominator == 1 else value
 
@@ -388,7 +427,8 @@ class QuasiForm:
         )
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
+        # a bool is an int to Python, but no coefficient the constructor takes
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return QuasiForm(
             eis={key: scalar * value for key, value in self.eis.items()},
@@ -422,14 +462,21 @@ class QuasiForm:
     # -- expansion ----------------------------------------------------------
 
     def expand(self, precision: int, constant_sign: str = "paper") -> QExpansion:
-        terms = []
-        for (k, l), coeff in sorted(self.eis.items()):
-            base = (
-                QExpansion.one(precision)
-                if k == 0
-                else eisenstein_g(k, precision, constant_sign)
-            )
-            terms.append((coeff, base.derivative(l)))
+        """The q-expansion through q^precision, exactly.
+
+        The Eisenstein part is one integer pass over the cached sigma
+        tables: the coefficients over their lcm, each P_k(n) =
+        sum_l c_{k,l} n^l by Horner's rule, then sum_k sigma_{k-1}(n) P_k(n)
+        and one constant, sum_k c_{k,0} (+-B_k/2k) + c_0, reduced once; no
+        G_k series is built.  The cusp terms are added to it: by Horner's
+        rule in Delta for big products, else from the cached basis.
+        """
+        if precision < 0:
+            raise ValueError(f"QuasiForm.expand: precision must be >= 0, got {precision}")
+        eis = _eisenstein_part(self.eis, precision, constant_sign)
+        if not self.cusp:
+            return eis
+        terms = [(1, eis)]
         groups = defaultdict(dict)
         for (m, i, l), coeff in self.cusp.items():
             groups[(m, l)][i] = coeff
@@ -532,6 +579,7 @@ def expand_monomials(
     The powers G_k^e are built once per call, each from the next lower
     one, and shared by the monomials.
     """
+    monomials = _checked_monomials(monomials, "expand_monomials")
     powers: dict = {}
 
     def power(k, e):
@@ -544,10 +592,6 @@ def expand_monomials(
 
     terms = []
     for (a, b, c), coeff in sorted(monomials.items()):
-        if min(a, b, c) < 0:
-            raise ValueError(f"expand_monomials: negative exponent in {(a, b, c)}")
-        if coeff == 0:
-            continue
         factors = [power(k, e) for k, e in ((2, a), (4, b), (6, c)) if e]
         terms.append((coeff, reduce(mul, factors or [QExpansion.one(precision)])))
     return linear_combination(terms, precision)
@@ -572,24 +616,46 @@ def spanning_keys(weight: int) -> tuple[list, list]:
     return eis, cusp
 
 
+def _checked_monomials(monomials: dict, where: str) -> dict:
+    # {(a, b, c): coeff} with non-negative int exponents and int/Fraction
+    # coefficients (the rule of _check_coeff), zeros dropped
+    out = {}
+    for key, value in monomials.items():
+        if not (
+            type(key) is tuple
+            and len(key) == 3
+            and all(type(e) is int and e >= 0 for e in key)
+        ):
+            raise ValueError(
+                f"{where}: monomial {key!r} must be a tuple of three non-negative ints"
+            )
+        value = _check_coeff(value, f"monomial {key}", where)
+        if value != 0:
+            out[key] = value
+    return out
+
+
 def _classicalize(monomials: dict) -> dict:
-    # G_k(paper) = G_k(classical) + B_k/k, expanded binomially; classical
-    # monomials are weight-homogeneous, which the per-weight solve needs
+    """The monomials rewritten in classical G_k, as {(a, b, c): Fraction}.
+
+    G_k(paper) = G_k(classical) + s_k with s_k = B_k/k, expanded
+    binomially; classical monomials are weight-homogeneous, which the
+    per-weight solve needs.  Each monomial builds its three lists of
+    factors C(e, j) s_k^(e-j) once and multiplies them in the nested loops.
+    """
     shift = {k: bernoulli(k) / k for k in (2, 4, 6)}
-    out: dict = defaultdict(lambda: Fraction(0))
+    out: dict = defaultdict(int)
     for (a, b, c), coeff in monomials.items():
-        for aa in range(a + 1):
-            for bb in range(b + 1):
-                for cc in range(c + 1):
-                    out[(aa, bb, cc)] += (
-                        Fraction(coeff)
-                        * comb(a, aa)
-                        * comb(b, bb)
-                        * comb(c, cc)
-                        * shift[2] ** (a - aa)
-                        * shift[4] ** (b - bb)
-                        * shift[6] ** (c - cc)
-                    )
+        fa, fb, fc = (
+            [comb(e, j) * shift[k] ** (e - j) for j in range(e + 1)]
+            for k, e in ((2, a), (4, b), (6, c))
+        )
+        for aa, x in enumerate(fa):
+            xa = coeff * x
+            for bb, y in enumerate(fb):
+                xab = xa * y
+                for cc, z in enumerate(fc):
+                    out[(aa, bb, cc)] += xab * z
     return {key: value for key, value in out.items() if value != 0}
 
 
@@ -632,10 +698,7 @@ def from_monomials(
     than papered over.
     """
     paper = _constant_factor(constant_sign) == 1
-    for key in monomials:
-        if min(key) < 0:
-            raise ValueError(f"from_monomials: negative exponent in {key}")
-    cleaned = {key: value for key, value in monomials.items() if value != 0}
+    cleaned = _checked_monomials(monomials, "from_monomials")
     classical = _classicalize(cleaned) if paper else cleaned
 
     by_weight: dict[int, dict] = defaultdict(dict)

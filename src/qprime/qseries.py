@@ -141,7 +141,8 @@ class QExpansion:
             b = a if other is self else other.nums[: n + 1]
             mul_int = _mul_kronecker if n >= _FAST_MUL_MIN_PRECISION else _mul_schoolbook
             return _series(mul_int(a, b, n), self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+        # a bool is an int to Python, but no coefficient the constructor takes
+        if type(other) is not bool and isinstance(other, (int, Fraction)):
             p = other.numerator
             return _series([p * x for x in self.nums], self.den * other.denominator)
         return NotImplemented

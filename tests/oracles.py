@@ -5,14 +5,19 @@ factorization (smallest-prime-factor sieve) check sigma_array, the
 coefficients of prod (1 - q^n)^24 from a sparse linear recurrence check
 the squaring path behind delta, and cusp bases from the monomials
 E4^a E6^b reduced over Fraction check the integer echelon of Miller's
-basis behind cusp_basis.
+basis behind cusp_basis.  The term-by-term Eisenstein expansion and the
+Fraction rewrite of paper monomials in classical G_k check the one-pass
+sum behind QuasiForm.expand and the hoisted factors of _classicalize.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
-from qprime.qseries import QExpansion
+from qprime.exactnum import bernoulli
+from qprime.forms import eisenstein_g
+from qprime.qseries import QExpansion, linear_combination
 
 # smallest-prime-factor sieve, grown on demand
 _SPF: list[int] = [0, 1]
@@ -135,3 +140,40 @@ def cusp_basis_by_gauss_jordan(m: int, precision: int) -> list[list]:
 
 def _intify(x):
     return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def eisenstein_part_termwise(eis: dict, precision: int, constant_sign: str = "paper"):
+    """sum c D^l G_k over {(k, l): c}, one series per term; (0, 0) is a constant.
+
+    Each term is eisenstein_g(k) differentiated l times, and the terms add
+    up through linear_combination.
+    """
+    terms = []
+    for (k, l), c in sorted(eis.items()):
+        base = QExpansion.one(precision) if k == 0 else eisenstein_g(k, precision, constant_sign)
+        terms.append((c, base.derivative(l)))
+    return linear_combination(terms, precision)
+
+
+def classicalize_by_fractions(monomials: dict) -> dict:
+    """Paper monomials in classical G_k, every term in Fraction arithmetic.
+
+    G_k(paper) = G_k(classical) + B_k/k, expanded binomially, with comb and
+    the powers of the shift recomputed for every exponent triple.
+    """
+    shift = {k: bernoulli(k) / k for k in (2, 4, 6)}
+    out: dict = defaultdict(lambda: Fraction(0))
+    for (a, b, c), coeff in monomials.items():
+        for aa in range(a + 1):
+            for bb in range(b + 1):
+                for cc in range(c + 1):
+                    out[(aa, bb, cc)] += (
+                        Fraction(coeff)
+                        * comb(a, aa)
+                        * comb(b, bb)
+                        * comb(c, cc)
+                        * shift[2] ** (a - aa)
+                        * shift[4] ** (b - bb)
+                        * shift[6] ** (c - cc)
+                    )
+    return {key: value for key, value in out.items() if value != 0}
