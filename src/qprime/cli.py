@@ -222,7 +222,7 @@ def _cmd_deligne(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_output_args(p, constant_sign=True):
+def _add_output_args(p, constant_sign=False):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     if constant_sign:
@@ -246,13 +246,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="q-expansion of a form")
     p.add_argument("form", help="form spec or QuasiForm JSON path")
     p.add_argument("--precision", type=int, default=32, metavar="N")
-    _add_output_args(p)
+    _add_output_args(p, constant_sign=True)
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("decompose", help="Eisenstein/cuspidal split")
     p.add_argument("form")
     p.add_argument("--precision", type=int, default=60, metavar="N",
-                   help="certificate precision for the reconstruction check")
+                   help="certificate precision; the parts sum to the form at any precision")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_decompose)
 
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-small", action="store_true",
                    help="also scan n = 0 and n = 1")
     p.add_argument("--max-violations", type=int, default=20, metavar="COUNT")
-    _add_output_args(p)
+    _add_output_args(p, constant_sign=True)
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("finite-check", help="prime-vanishing check from finitely many primes")
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("macmahon", help="weighted-partition table and prime identity")
     p.add_argument("--amax", type=int, default=2, metavar="A")
     p.add_argument("--bound", type=int, default=100, metavar="N")
-    _add_output_args(p, constant_sign=False)
+    _add_output_args(p)
     p.set_defaults(handler=_cmd_macmahon)
 
     p = sub.add_parser("signstats", help="sign changes and prime partial sums")
@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deligne", help="prime-coefficient bound for an eigenform weight")
     p.add_argument("--weight", type=int, required=True, metavar="M")
     p.add_argument("--bound", type=int, default=1000, metavar="X")
-    _add_output_args(p, constant_sign=False)
+    _add_output_args(p)
     p.set_defaults(handler=_cmd_deligne)
 
     return parser

@@ -1,9 +1,7 @@
 """Split a quasimodular combination into Eisenstein and cuspidal parts.
 
-All the linear algebra lives in from_monomials; once a form is in the
-canonical representation the split is projection on the two maps, and
-this module's job is to certify by re-expansion that the pieces really
-add back up, then hand out the certified pair.
+The linear algebra and its certificate live in from_monomials; once a form
+is in the canonical representation the split is projection on its two maps.
 """
 
 from __future__ import annotations
@@ -21,8 +19,9 @@ class DecompositionResult(
 ):
     """Eisenstein and cuspidal parts plus the precision of the certificate.
 
-    eis_part carries an empty cusp map, cusp_part an empty eis map, and
-    their expansions sum to the input's exactly through q^certificate_precision.
+    eis_part carries an empty cusp map, cusp_part an empty eis map; they split
+    the terms of the input's canonical representation (from_monomials certifies
+    it), so their expansions sum to the input's at every precision.
     """
 
     __slots__ = ()
@@ -50,16 +49,12 @@ def split_eis_cusp(form, certificate_precision: int = 60) -> DecompositionResult
     """Project a QuasiForm (or generator-monomial dict) onto 𝓔 and 𝓢.
 
     A plain dict keyed by generator exponents is first rewritten in the
-    canonical basis.  The returned parts are re-expanded and compared
-    against the input through the certificate precision; a mismatch would
-    mean the canonical representation itself is broken, so it raises
-    rather than returning quietly.
+    canonical basis by from_monomials, which raises rather than return a
+    representation its exact solve does not certify.  The parts are the
+    two maps of the representation, so nothing is expanded here.
     """
+    if certificate_precision < 0:
+        raise ValueError(f"split_eis_cusp: certificate precision {certificate_precision} < 0")
     if isinstance(form, dict):
-        form = from_monomials(form, n_guard=certificate_precision)
-    eis_part = form.eis_part()
-    cusp_part = form.cusp_part()
-    lhs = eis_part.expand(certificate_precision) + cusp_part.expand(certificate_precision)
-    if lhs != form.expand(certificate_precision):
-        raise ValueError("split_eis_cusp: parts fail to reconstruct the input")
-    return DecompositionResult(eis_part, cusp_part, certificate_precision)
+        form = from_monomials(form)
+    return DecompositionResult(form.eis_part(), form.cusp_part(), certificate_precision)

@@ -22,7 +22,7 @@ import json
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 
 from .exactnum import (
@@ -659,10 +659,10 @@ def _classicalize(monomials: dict) -> dict:
     return {key: value for key, value in out.items() if value != 0}
 
 
-# one spanning system per weight, as (eis_keys, cusp_keys, precision,
-# factor_exact of its rows); rows are the coefficients of q^0..q^precision,
-# columns the spanning keys.  The solve always runs in the classical
-# convention, so the weight alone keys it.
+# one spanning system per weight, as (eis_keys, cusp_keys, precision, matrix,
+# scale, factor_exact of the matrix); the matrix over scale holds the keys'
+# coefficients of q^0..q^precision, a row per exponent.  The solve always
+# runs in the classical convention, so the weight alone keys it.
 _WEIGHT_SYSTEMS: dict[int, tuple] = {}
 
 
@@ -671,17 +671,19 @@ def _weight_system(weight: int) -> tuple:
     if system is None:
         eis_keys, cusp_keys = spanning_keys(weight)
         prec = len(eis_keys) + len(cusp_keys) + 10
-        cols = [
-            eisenstein_g(k, prec, "classical").derivative(l).coeffs
-            for (k, l) in eis_keys
-        ]
-        cols += [
-            cusp_basis(m, prec)[i].derivative(l).coeffs for (m, i, l) in cusp_keys
-        ]
-        rows = [[col[n] for col in cols] for n in range(prec + 1)]
-        system = (eis_keys, cusp_keys, prec, factor_exact(rows))
+        cols = [eisenstein_g(k, prec, "classical").derivative(l) for (k, l) in eis_keys]
+        cols += [cusp_basis(m, prec)[i].derivative(l) for (m, i, l) in cusp_keys]
+        scale = lcm(*(col.den for col in cols))
+        matrix = [[col.nums[n] * (scale // col.den) for col in cols] for n in range(prec + 1)]
+        system = (eis_keys, cusp_keys, prec, matrix, scale, factor_exact(matrix))
         _WEIGHT_SYSTEMS[weight] = system
     return system
+
+
+def _solves(matrix, x, rhs) -> bool:
+    # matrix x == rhs on every row, in integers: x over its common denominator
+    nums, den = integer_numerators(x)
+    return all(sum(map(mul, row, nums)) == den * b for row, b in zip(matrix, rhs))
 
 
 def from_monomials(
@@ -692,10 +694,11 @@ def from_monomials(
     Works one graded weight at a time: the monomials are first shifted to
     the sign convention in which they are weight-homogeneous, each weight
     is solved exactly against its spanning set (factored once per weight,
-    see _weight_system), and the shift is undone.  The result is certified
-    by re-expansion through q^n_guard; a residual there means the internal
-    precision bound was too small for the input and is reported rather
-    than papered over.
+    see _weight_system), and the shift is undone.  The solve certifies itself:
+    factor_exact raises unless the spanning columns have full rank, there are
+    dim M~_w of them by the structure theorem M~_w = sum_l D^l M_{w-2l} +
+    C D^{w/2-1} G_2 (Kaneko-Zagier), so the product has one preimage, and the
+    solution is checked exactly on every row (else ValueError).  n_guard is ignored.
     """
     paper = _constant_factor(constant_sign) == 1
     cleaned = _checked_monomials(monomials, "from_monomials")
@@ -709,14 +712,17 @@ def from_monomials(
     eis_out: dict = {}
     cusp_out: dict = {}
     for weight, mono_w in sorted(by_weight.items()):
-        eis_keys, cusp_keys, prec, factor = _weight_system(weight)
+        eis_keys, cusp_keys, prec, matrix, scale, factor = _weight_system(weight)
         target = expand_monomials(mono_w, prec, "classical")
-        solution = apply_factor(factor, target.coeffs)
-        if solution is None:
+        # matrix y = target.nums, so the solution is y scale / target.den
+        y = apply_factor(factor, target.nums)
+        if y is None or not _solves(matrix, y, target.nums):
             raise ValueError(
                 f"from_monomials: inconsistent solve at weight {weight}; "
                 "the spanning set failed to reproduce the product expansion"
             )
+        ratio = Fraction(scale, target.den)
+        solution = [v * ratio for v in y]
         for (k, l), value in zip(eis_keys, solution):
             if value != 0:
                 eis_out[(k, l)] = value
@@ -728,13 +734,4 @@ def from_monomials(
                 cusp_out[key] = value
     if const_total != 0:
         eis_out[(0, 0)] = const_total
-
-    result = QuasiForm(eis=eis_out, cusp=cusp_out)
-    if result.expand(n_guard, constant_sign) != expand_monomials(
-        cleaned, n_guard, constant_sign
-    ):
-        raise ValueError(
-            "from_monomials: inconsistent residual at guard precision "
-            f"{n_guard}; raise the guard or report the input"
-        )
-    return result
+    return QuasiForm(eis=eis_out, cusp=cusp_out)

@@ -248,7 +248,8 @@ def omega_scan(
         raise ValueError(f"omega_scan: scan bound must be >= 2, got {n_max}")
     if max_violations < 0:
         raise ValueError(f"omega_scan: max_violations must be >= 0, got {max_violations}")
-    coeffs = form.expand(n_max, constant_sign=constant_sign).coeffs
+    # signs and zeros read off the numerators, as the denominator is >= 1
+    series = form.expand(n_max, constant_sign=constant_sign)
     mask = prime_mask(n_max)
     start = 0 if include_small else 2
     violations = []
@@ -256,23 +257,22 @@ def omega_scan(
     nonneg_ok = True
     zero_set_ok = True
 
-    def record(n, value, reason):
+    def record(n, reason):
         nonlocal total
         total += 1
         if len(violations) < max_violations:
-            violations.append((n, value, reason))
+            violations.append((n, series[n], reason))
 
-    for n in range(start, n_max + 1):
-        value = coeffs[n]
-        if value < 0:
+    for n, num in enumerate(series.nums[start:], start):
+        if num < 0:
             nonneg_ok = False
-            record(n, value, "negative")
-        if mask[n] and value != 0:
+            record(n, "negative")
+        if mask[n] and num != 0:
             zero_set_ok = False
-            record(n, value, "nonzero at prime")
-        elif not mask[n] and value == 0:
+            record(n, "nonzero at prime")
+        elif not mask[n] and num == 0:
             zero_set_ok = False
-            record(n, value, "zero at non-prime")
+            record(n, "zero at non-prime")
     return OmegaReport(
         range_checked=n_max,
         nonneg_ok=nonneg_ok,

@@ -47,6 +47,11 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _STR_DIGITS = 640
 
 
+def _is_scalar(x) -> bool:
+    # a bool is an int to Python, but no coefficient the constructor takes
+    return type(x) is not bool and isinstance(x, (int, Fraction))
+
+
 class QExpansion:
     """Truncated q-series: coefficients c(0), ..., c(N) for exponents up to N.
 
@@ -117,7 +122,7 @@ class QExpansion:
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
             return linear_combination([(1, self), (1, other)], n)
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             one = QExpansion.one(self.precision)
             return linear_combination([(1, self), (other, one)], self.precision)
         return NotImplemented
@@ -125,10 +130,11 @@ class QExpansion:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        # -True is the int -1, so a bool is refused before it is negated
+        return NotImplemented if type(other) is bool else self.__add__(-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __neg__(self):
         return _series([-x for x in self.nums], self.den)
@@ -141,8 +147,7 @@ class QExpansion:
             b = a if other is self else other.nums[: n + 1]
             mul_int = _mul_kronecker if n >= _FAST_MUL_MIN_PRECISION else _mul_schoolbook
             return _series(mul_int(a, b, n), self.den * other.den)
-        # a bool is an int to Python, but no coefficient the constructor takes
-        if type(other) is not bool and isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             p = other.numerator
             return _series([p * x for x in self.nums], self.den * other.denominator)
         return NotImplemented
@@ -253,6 +258,8 @@ def linear_combination(terms, precision: int) -> QExpansion:
     scaled = []
     den = 1
     for c, f in terms:
+        if not _is_scalar(c):
+            raise TypeError(f"linear_combination: coefficient {c!r} is not an int or a Fraction")
         f = f.truncate(precision)
         c = Fraction(c, f.den)
         scaled.append((c, f.nums))

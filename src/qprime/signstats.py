@@ -47,8 +47,8 @@ def prime_coefficients(form: QuasiForm, x_max: int) -> list:
     """Exact (p, c_F(p)) for all primes p <= x_max, from one expansion."""
     if x_max < 2:
         raise ValueError(f"prime_coefficients: bound must be >= 2, got {x_max}")
-    coeffs = form.expand(x_max).coeffs
-    return [(p, coeffs[p]) for p in primes_up_to(x_max)]
+    series = form.expand(x_max)
+    return [(p, series[p]) for p in primes_up_to(x_max)]
 
 
 def count_sign_changes(values) -> int:

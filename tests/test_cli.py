@@ -51,6 +51,15 @@ def test_expand_classical_convention(capsys):
     assert json.loads(out)["coeffs"][0] == "1/240"
 
 
+@pytest.mark.parametrize("command", [["decompose", "G4"], ["finite-check", "G4"],
+                                     ["signstats", "G4"], ["macmahon"]])
+def test_constant_sign_is_refused_where_nothing_reads_it(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--eisenstein-constant-sign", "classical")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --eisenstein-constant-sign" in err
+
+
 @pytest.mark.parametrize(
     "spec, precision, coeffs",
     # cusp forms below the dimension of their space: the basis is built at

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from qprime.decompose import DecompositionResult, split_eis_cusp
 from qprime.forms import QuasiForm, delta, eisenstein_g, hk_quasiform
 
@@ -26,6 +28,8 @@ def test_split_pure_eisenstein():
     assert result.eis_part == f
     assert result.cusp_part.is_zero()
     assert result.certificate_precision == 60
+    with pytest.raises(ValueError, match="certificate precision"):
+        split_eis_cusp(f, certificate_precision=-1)
 
 
 def test_split_pure_cusp():
@@ -79,6 +83,12 @@ def test_split_reconstruction_hk():
         f = hk_quasiform(k)
         result = split_eis_cusp(f)
         assert result.cusp_part.is_zero()
+        lhs = result.eis_part.expand(60) + result.cusp_part.expand(60)
+        assert lhs.coeffs == f.expand(60).coeffs
+    rng = random.Random(5)
+    for _ in range(5):
+        f = _random_form(rng)
+        result = split_eis_cusp(f)
         lhs = result.eis_part.expand(60) + result.cusp_part.expand(60)
         assert lhs.coeffs == f.expand(60).coeffs
 

@@ -3,7 +3,7 @@
 The discriminant form gets an independent oracle (the normalized
 weight-4/weight-6 cube-minus-square identity), from_monomials is checked
 against a hand-derived rewrite of G_2^2 and against eigenform identities,
-and every conversion is certified by re-expansion.
+and every conversion is re-expanded far past the rows its solve checks.
 """
 
 import random
@@ -470,6 +470,16 @@ def test_spanning_keys_counts():
     eis2, cusp2 = spanning_keys(2)
     assert eis2 == [(2, 0)] and cusp2 == []
 
+    def dim_m(k):
+        # M_* = C[E_4, E_6]: one basis element E_4^a E_6^b per 4a + 6b = k
+        return sum(1 for b in range(k // 6 + 1) if (k - 6 * b) % 4 == 0)
+
+    # the structure theorem: M~_w = sum_j D^j M_{w-2j} + C D^{w/2-1} G_2
+    for w in range(2, 31, 2):
+        eis, cusp = spanning_keys(w)
+        expected = sum(dim_m(w - 2 * j) for j in range(w // 2) if w - 2 * j >= 4) + 1
+        assert len(eis) + len(cusp) == expected, w
+
 
 def test_spanning_sets_have_full_rank_through_weight_30():
     for w in range(2, 31, 2):
@@ -534,20 +544,24 @@ def test_from_monomials_eigenform_identity():
 
 
 def test_from_monomials_certificate_random_combos():
+    # the solve checked on its own rows holds far beyond them, in both
+    # conventions, through weight 24
     rng = random.Random(99)
-    for _ in range(10):
-        monomials = {}
-        for _ in range(rng.randint(1, 3)):
-            a, b, c = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)
-            if 2 * a + 4 * b + 6 * c > 14:
-                continue
-            monomials[(a, b, c)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        form = from_monomials(monomials, n_guard=40)
-        assert form.expand(40).coeffs == expand_monomials(monomials, 40).coeffs
+    for sign in ("paper", "classical"):
+        for _ in range(10):
+            monomials = {}
+            for _ in range(rng.randint(1, 3)):
+                a, b, c = rng.randint(0, 6), rng.randint(0, 4), rng.randint(0, 3)
+                if 2 * a + 4 * b + 6 * c > 24:
+                    continue
+                monomials[(a, b, c)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            form = from_monomials(monomials, constant_sign=sign)
+            assert form.expand(60, sign) == expand_monomials(monomials, 60, sign)
 
 
 def test_from_monomials_classical_convention():
     monomials = {(2, 0, 0): 1, (0, 1, 0): Fraction(1, 2)}
+    # n_guard is accepted and ignored, for callers that pass it by name
     form = from_monomials(monomials, n_guard=30, constant_sign="classical")
     lhs = form.expand(30, constant_sign="classical")
     rhs = expand_monomials(monomials, 30, constant_sign="classical")
@@ -622,14 +636,16 @@ def test_weight_cache_matches_direct_solve_for_every_monomial(monkeypatch):
 
 def test_weight_cache_keeps_the_consistency_check():
     weight = 16
-    _, _, prec, factor = forms_module._weight_system(weight)
-    target = expand_monomials({(2, 0, 2): 1}, prec, "classical").coeffs
+    _, _, prec, matrix, scale, factor = forms_module._weight_system(weight)
+    keys, _, rows = _uncached_system(weight)
+    # the cached integer matrix is the spanning rows over one scale
+    assert [[Fraction(x, scale) for x in row] for row in matrix] == rows
+    target = expand_monomials({(2, 0, 2): 1}, prec, "classical").nums
     assert apply_factor(factor, target) is not None
     # a right-hand side off the span, caught by the all-rows check
     perturbed = list(target)
     perturbed[-1] += 1
     assert apply_factor(factor, perturbed) is None
-    keys, _, rows = _uncached_system(weight)
     assert solve_exact(rows, perturbed) is None
 
 
@@ -639,7 +655,7 @@ def test_inconsistent_weight_solve_raises(monkeypatch):
 
     def off_by_one(monomials, precision, constant_sign="paper"):
         series = real(monomials, precision, constant_sign)
-        if constant_sign == "classical" and precision != 60:
+        if constant_sign == "classical":
             series = series + QExpansion([0] * precision + [1], precision)
         return series
 
@@ -649,11 +665,14 @@ def test_inconsistent_weight_solve_raises(monkeypatch):
 
 
 def test_corrupted_weight_cache_trips_the_guard(monkeypatch):
-    # swap the recorded operations of two solution rows: the solve still
-    # looks consistent, and only the q^60 re-expansion can notice
-    eis_keys, cusp_keys, prec, (solution_ops, residual_ops) = forms_module._weight_system(12)
+    # swap the recorded operations of two solution rows: the factor's own
+    # consistency test still passes, and only the check of the solution
+    # against every row of the matrix can notice
+    eis_keys, cusp_keys, prec, matrix, scale, (solution_ops, residual_ops) = (
+        forms_module._weight_system(12)
+    )
     swapped = (solution_ops[1], solution_ops[0], *solution_ops[2:])
-    bad = (eis_keys, cusp_keys, prec, (swapped, residual_ops))
+    bad = (eis_keys, cusp_keys, prec, matrix, scale, (swapped, residual_ops))
     monkeypatch.setitem(forms_module._WEIGHT_SYSTEMS, 12, bad)
-    with pytest.raises(ValueError, match="guard precision 60"):
+    with pytest.raises(ValueError, match="inconsistent solve at weight 12"):
         from_monomials({(0, 3, 0): 1}, constant_sign="classical")

@@ -234,6 +234,18 @@ def test_float_coefficients_raise_in_products_and_sums():
             total()
 
 
+@pytest.mark.parametrize(
+    "total",
+    [lambda g: g + True, lambda g: True + g, lambda g: g - True, lambda g: True - g,
+     lambda g: linear_combination([(True, g)], 1)],
+    ids=["add", "radd", "sub", "rsub", "linear_combination"],
+)
+def test_bool_is_refused_in_sums(total):
+    # a bool is an int to Python, and would add as 1 or 0
+    with pytest.raises(TypeError):
+        total(QExpansion([1, 2]))
+
+
 @pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, None, "1", 1j])
 def test_constructor_rejects_what_is_not_an_int_or_a_fraction(bad):
     # the rule of QuasiForm's coefficients: a bool would print as "True"
