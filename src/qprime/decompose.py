@@ -38,11 +38,21 @@ class DecompositionResult(
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecompositionResult":
-        return cls(
-            eis_part=QuasiForm.from_dict(data["eis_part"]),
-            cusp_part=QuasiForm.from_dict(data["cusp_part"]),
-            certificate_precision=int(data["certificate_precision"]),
-        )
+        """Read the to_dict layout back; anything else raises ValueError."""
+        if not isinstance(data, dict) or set(data) != set(cls._fields):
+            raise ValueError(
+                f"DecompositionResult JSON must be an object with the fields {cls._fields}"
+            )
+        precision = data["certificate_precision"]
+        if type(precision) is not int or precision < 0:
+            raise ValueError(
+                f"DecompositionResult JSON: precision {precision!r} is not an integer >= 0"
+            )
+        eis_part = QuasiForm.from_dict(data["eis_part"])
+        cusp_part = QuasiForm.from_dict(data["cusp_part"])
+        if eis_part.cusp or cusp_part.eis:
+            raise ValueError("DecompositionResult JSON: a part holds terms of the other")
+        return cls(eis_part, cusp_part, precision)
 
 
 def split_eis_cusp(form, certificate_precision: int = 60) -> DecompositionResult:

@@ -13,16 +13,17 @@ from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
 __all__ = [
-    "Fraction",
     "bernoulli",
     "sigma_array",
     "primes_up_to",
     "prime_mask",
     "is_prime",
+    "first_primes",
     "integer_numerators",
     "rationals_over",
     "factor_exact",
     "apply_factor",
+    "solves",
     "solve_exact",
 ]
 
@@ -184,8 +185,8 @@ def factor_exact(rows) -> tuple:
 
     The row operations are recorded as the m x m integer matrix T they
     compose to: T times the matrix is diag(pivots) above m - n zero rows.
-    Returns (solution_ops, residual_ops): solution_ops holds (row i of T,
-    pivot i) for i < n, residual_ops the remaining m - n rows of T.
+    Returns the n pairs (row i of T, pivot i > 0); the m - n rows of T
+    below them are dropped, as solves checks a solution on every row.
 
     Entries must be int or Fraction.  The elimination is fraction-free:
     each row is scaled to integers, a row operation cross-multiplies by
@@ -204,7 +205,7 @@ def factor_exact(rows) -> tuple:
     for c in range(n):
         pr = next((i for i in range(c, m) if aug[i][c] != 0), None)
         if pr is None:
-            raise ValueError("solve_exact: coefficient matrix is rank-deficient")
+            raise ValueError("factor_exact: coefficient matrix is rank-deficient")
         aug[c], aug[pr] = aug[pr], aug[c]
         prow = aug[c]
         pv = prow[c]
@@ -216,28 +217,32 @@ def factor_exact(rows) -> tuple:
                 row = [a * x - b * y for x, y in zip(aug[i], prow)]
                 g = gcd(*row)
                 aug[i] = [x // g for x in row] if g > 1 else row
-    solution_ops = []
+    factor = []
     for i, row in enumerate(aug[:n]):
         sign = 1 if row[i] > 0 else -1
-        solution_ops.append((tuple(sign * x for x in row[n:]), sign * row[i]))
-    return tuple(solution_ops), tuple(tuple(row[n:]) for row in aug[n:])
+        factor.append((tuple(sign * x for x in row[n:]), sign * row[i]))
+    return tuple(factor)
 
 
-def apply_factor(factor, rhs):
-    """The unique x with A x = rhs for A factored by factor_exact, or None.
+def apply_factor(factor, rhs) -> list:
+    """x_i = (T rhs)_i / pivot i, for A factored by factor_exact: one product.
 
-    One matrix-vector product T rhs: its first n entries over their pivots
-    are x, and every one of the remaining m - n must vanish for the system
-    to be consistent (None otherwise).
+    x solves A x = rhs if any x does; only solves(A, x, rhs) can tell.
     """
-    solution_ops, residual_ops = factor
-    m = len(solution_ops) + len(residual_ops)
+    # no unknowns: any right-hand side, and x is empty
+    m = len(factor[0][0]) if factor else len(rhs)
     if len(rhs) != m:
-        raise ValueError(f"solve_exact: {m} rows but {len(rhs)} right-hand sides")
+        raise ValueError(f"apply_factor: {m} rows but {len(rhs)} right-hand sides")
     y, den = integer_numerators(rhs)
-    if any(sum(map(mul, t, y)) for t in residual_ops):
-        return None
-    return [Fraction(sum(map(mul, t, y)), pv * den) for t, pv in solution_ops]
+    return [Fraction(sum(map(mul, t, y)), pv * den) for t, pv in factor]
+
+
+def solves(rows, x, rhs) -> bool:
+    """Whether rows @ x == rhs exactly on every row; entries int or Fraction."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"solves: {len(rows)} rows but {len(rhs)} right-hand sides")
+    nums, den = integer_numerators(x)
+    return all(sum(map(mul, row, nums)) == den * b for row, b in zip(rows, rhs))
 
 
 def solve_exact(rows, rhs):
@@ -248,6 +253,5 @@ def solve_exact(rows, rhs):
     system is inconsistent.  A rank-deficient coefficient matrix raises
     ValueError (see factor_exact).
     """
-    if len(rows) != len(rhs):
-        raise ValueError(f"solve_exact: {len(rows)} rows but {len(rhs)} right-hand sides")
-    return apply_factor(factor_exact(rows), rhs)
+    x = apply_factor(factor_exact(rows), rhs)
+    return x if solves(rows, x, rhs) else None

@@ -32,11 +32,11 @@ from .exactnum import (
     integer_numerators,
     rationals_over,
     sigma_array,
+    solves,
 )
 from .qseries import (
     _FAST_MUL_MIN_PRECISION,
     QExpansion,
-    _mul_schoolbook,
     _series,
     coeff_from_json,
     linear_combination,
@@ -54,6 +54,7 @@ __all__ = [
     "hk_quasiform",
     "quasiform_expand",
     "expand_monomials",
+    "spanning_keys",
     "from_monomials",
 ]
 
@@ -213,17 +214,19 @@ def _miller_weights(m: int) -> list[int]:
     return [k for k in range(m - 12, -1, -12) if k != 2]
 
 
-def _miller_rows(m: int, precision: int, product):
-    # Miller's rows as coefficient lists through q^precision, with E_k the
-    # integer series d E_k, the numerators of E_k over its denominator d
-    # (E_0 = 1): one product each, on powers of Delta shared by the rows.
-    # R_j starts p_j q^{j+1}, p_j the constant of d E_k (1 for E_0)
-    dlt = delta(precision).coeffs
+def _miller_rows(m: int, precision: int):
+    """Miller's rows Delta^{j+1} E_{k_j} through q^precision, as integer series.
+
+    E_k enters as d E_k, its numerators over its denominator d (E_0 = 1); a
+    row is one product, on powers of Delta shared by the rows.  Row j starts
+    p_j q^{j+1}, p_j the constant of d E_k (1 for E_0).
+    """
+    dlt = delta(precision)
     power = dlt
     for j, k in enumerate(_miller_weights(m)):
         if j:
-            power = product(power, dlt)
-        yield product(power, eisenstein_g(k, precision, "classical").nums) if k else power
+            power = power * dlt
+        yield power * _series(eisenstein_g(k, precision, "classical").nums) if k else power
 
 
 def _reduce_rows(rows: list) -> list:
@@ -244,12 +247,7 @@ def _reduce_rows(rows: list) -> list:
 
 
 def _build_cusp_basis(m: int, precision: int) -> list[QExpansion]:
-    def product(a, b):
-        x = QExpansion(a, precision)
-        # the same list twice is a square, which packs once
-        return (x * (x if b is a else QExpansion(b, precision))).coeffs
-
-    rows = _reduce_rows(list(_miller_rows(m, precision, product)))
+    rows = _reduce_rows([row.nums for row in _miller_rows(m, precision)])
     # element i is row i over its pivot
     return [QExpansion(row) * Fraction(1, row[i + 1]) for i, row in enumerate(rows)]
 
@@ -268,23 +266,15 @@ _MILLER_TRANSFORMS: dict[int, list[list]] = {}
 def _miller_transform(m: int) -> list[list]:
     """T with cusp_basis(m)[i] = sum_j T[i][j] R_j over Miller's rows R_j.
 
-    The rows' coefficients at q^1..q^d (d the dimension) form an upper
-    triangular block B, and the echelon basis is T R with T B = 1, so T
-    comes from reducing (B | 1) like the rows themselves: products of
-    lists of d + 1 entries and a d x 2d back-substitution, once per weight.
+    The rows' coefficients at q^1..q^d (d the dimension) form a block B,
+    and the echelon basis is T R with T B = 1: T is the inverse that
+    factor_exact records for B, from the rows through q^d, once per weight.
     """
     transform = _MILLER_TRANSFORMS.get(m)
     if transform is None:
         d = cusp_dim(m)
-        rows = [
-            row + [int(i == j) for i in range(d)]
-            for j, row in enumerate(
-                _miller_rows(m, d, lambda a, b: _mul_schoolbook(a, b, d))
-            )
-        ]
-        transform = [
-            rationals_over(row[d + 1 :], row[i + 1]) for i, row in enumerate(_reduce_rows(rows))
-        ]
+        block = [row.nums[1:] for row in _miller_rows(m, d)]
+        transform = [rationals_over(t, pivot) for t, pivot in factor_exact(block)]
         _MILLER_TRANSFORMS[m] = transform
     return transform
 
@@ -680,12 +670,6 @@ def _weight_system(weight: int) -> tuple:
     return system
 
 
-def _solves(matrix, x, rhs) -> bool:
-    # matrix x == rhs on every row, in integers: x over its common denominator
-    nums, den = integer_numerators(x)
-    return all(sum(map(mul, row, nums)) == den * b for row, b in zip(matrix, rhs))
-
-
 def from_monomials(
     monomials: dict, n_guard: int = 60, constant_sign: str = "paper"
 ) -> QuasiForm:
@@ -716,7 +700,7 @@ def from_monomials(
         target = expand_monomials(mono_w, prec, "classical")
         # matrix y = target.nums, so the solution is y scale / target.den
         y = apply_factor(factor, target.nums)
-        if y is None or not _solves(matrix, y, target.nums):
+        if not solves(matrix, y, target.nums):
             raise ValueError(
                 f"from_monomials: inconsistent solve at weight {weight}; "
                 "the spanning set failed to reproduce the product expansion"

@@ -319,26 +319,18 @@ def omega_tilde_decide(form: QuasiForm) -> OmegaTildeResult:
     """Decide whether every prime coefficient of the form vanishes.
 
     The decision is complete: a cuspidal component is an immediate
-    witness.  Otherwise the prime polynomial either vanishes identically,
-    or it is nonzero of degree at most d and so has at most d roots: one
-    of the first d+1 primes gives a nonzero value, and only those are
-    searched.  The witness is the first of them.
+    witness.  Otherwise c_f(p) is a polynomial in p of degree at most d,
+    so by root count finite_check over the first d+1 primes decides it:
+    In when all of them vanish, else Not with the first prime that does
+    not as the witness.
     """
     if form.cusp:
         key = min(form.cusp)
         return OmegaTildeResult(
             verdict=NOT_IN_OMEGA_TILDE, witness=("cusp", key, form.cusp[key])
         )
-    poly = prime_polynomial(form)
-    if poly.is_zero():
+    check = finite_check(form, first_primes(degree_bound(form) + 1))
+    if check.witness is None:
         return OmegaTildeResult(verdict=IN_OMEGA_TILDE)
-    for p in first_primes(poly.degree_bound + 1):
-        value = coefficient_at_prime(form, p)
-        if value != 0:
-            return OmegaTildeResult(
-                verdict=NOT_IN_OMEGA_TILDE, witness=("prime", p, value)
-            )
-    raise RuntimeError(
-        "omega_tilde_decide: nonzero prime polynomial with no prime witness; "
-        "this contradicts the degree bound"
-    )
+    p, value = check.witness
+    return OmegaTildeResult(verdict=NOT_IN_OMEGA_TILDE, witness=("prime", p, value))

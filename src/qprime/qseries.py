@@ -27,7 +27,7 @@ from operator import mul
 
 from .exactnum import integer_numerators, rationals_over
 
-__all__ = ["QExpansion", "linear_combination"]
+__all__ = ["QExpansion", "coeff_from_json", "linear_combination"]
 
 # products at or above this precision go through Kronecker substitution;
 # below it schoolbook convolution runs (and keeps small cases simple).

@@ -101,3 +101,38 @@ def test_result_json_round_trip():
     assert set(data) == {"eis_part", "cusp_part", "certificate_precision"}
     back = DecompositionResult.from_dict(data)
     assert back == result
+
+
+_GOOD = {
+    "eis_part": {"eis": [[4, 0, "1/3"]], "cusp": []},
+    "cusp_part": {"eis": [], "cusp": [[12, 0, 1, "-2"]]},
+    "certificate_precision": 60,
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        "{}",
+        {k: v for k, v in _GOOD.items() if k != "cusp_part"},
+        {k: v for k, v in _GOOD.items() if k != "certificate_precision"},
+        {**_GOOD, "extra": 1},
+        {**_GOOD, "certificate_precision": 2.9},
+        {**_GOOD, "certificate_precision": 60.0},
+        {**_GOOD, "certificate_precision": True},
+        {**_GOOD, "certificate_precision": -5},
+        {**_GOOD, "certificate_precision": "60"},
+        {**_GOOD, "eis_part": []},
+        {**_GOOD, "eis_part": {"eis": [], "cusp": [[12, 0, 0, 1]]}},
+        {**_GOOD, "cusp_part": {"eis": [[4, 0, 1]], "cusp": []}},
+    ],
+)
+def test_result_from_dict_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        DecompositionResult.from_dict(data)
+
+
+def test_result_from_dict_reads_the_good_layout():
+    result = DecompositionResult.from_dict(_GOOD)
+    assert result.to_dict() == _GOOD

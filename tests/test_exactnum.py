@@ -13,12 +13,15 @@ import pytest
 
 from oracles import factorize, sigma
 from qprime.exactnum import (
+    apply_factor,
     bernoulli,
+    factor_exact,
     integer_numerators,
     prime_mask,
     primes_up_to,
     sigma_array,
     solve_exact,
+    solves,
 )
 
 
@@ -167,6 +170,29 @@ def test_solve_exact_round_trip():
 def test_solve_exact_inconsistent():
     # x = 1 and x = 2 simultaneously
     assert solve_exact([[1], [1]], [1, 2]) is None
+    # x/2 + y = 1, x/3 = 1/3 and x + y/5 = 2 have no common solution
+    rows = [[Fraction(1, 2), 1], [Fraction(1, 3), 0], [1, Fraction(1, 5)]]
+    assert solve_exact(rows, [1, Fraction(1, 3), 2]) is None
+    assert solve_exact(rows, [Fraction(3, 2), Fraction(1, 3), Fraction(6, 5)]) == [1, 1]
+
+
+def test_solves_rejects_a_perturbed_right_hand_side():
+    rows = [[1, 2], [3, 4], [5, 6]]
+    x = apply_factor(factor_exact(rows), [5, 11, 17])
+    assert x == [1, 2]
+    assert solves(rows, x, [5, 11, 17])
+    assert not solves(rows, x, [5, 11, 18])
+    assert not solves(rows, apply_factor(factor_exact(rows), [5, 11, 18]), [5, 11, 18])
+
+
+def test_wrong_number_of_right_hand_sides_raises():
+    rows = [[1, 2], [3, 4], [5, 6]]
+    factor = factor_exact(rows)
+    for rhs in ([5, 11], [5, 11, 17, 23]):
+        with pytest.raises(ValueError, match="apply_factor"):
+            apply_factor(factor, rhs)
+        with pytest.raises(ValueError, match="solves"):
+            solves(rows, [1, 2], rhs)
 
 
 def test_solve_exact_underdetermined_raises():

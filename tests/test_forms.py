@@ -14,7 +14,7 @@ import pytest
 
 import qprime.forms as forms_module
 from oracles import cusp_basis_by_gauss_jordan, eta24_by_recurrence, sigma
-from qprime.exactnum import apply_factor, bernoulli, sigma_array, solve_exact
+from qprime.exactnum import apply_factor, bernoulli, sigma_array, solve_exact, solves
 from qprime.forms import (
     QuasiForm,
     cusp_basis,
@@ -641,11 +641,11 @@ def test_weight_cache_keeps_the_consistency_check():
     # the cached integer matrix is the spanning rows over one scale
     assert [[Fraction(x, scale) for x in row] for row in matrix] == rows
     target = expand_monomials({(2, 0, 2): 1}, prec, "classical").nums
-    assert apply_factor(factor, target) is not None
+    assert solves(matrix, apply_factor(factor, target), target)
     # a right-hand side off the span, caught by the all-rows check
     perturbed = list(target)
     perturbed[-1] += 1
-    assert apply_factor(factor, perturbed) is None
+    assert not solves(matrix, apply_factor(factor, perturbed), perturbed)
     assert solve_exact(rows, perturbed) is None
 
 
@@ -665,14 +665,25 @@ def test_inconsistent_weight_solve_raises(monkeypatch):
 
 
 def test_corrupted_weight_cache_trips_the_guard(monkeypatch):
-    # swap the recorded operations of two solution rows: the factor's own
-    # consistency test still passes, and only the check of the solution
-    # against every row of the matrix can notice
-    eis_keys, cusp_keys, prec, matrix, scale, (solution_ops, residual_ops) = (
-        forms_module._weight_system(12)
-    )
-    swapped = (solution_ops[1], solution_ops[0], *solution_ops[2:])
-    bad = (eis_keys, cusp_keys, prec, matrix, scale, (swapped, residual_ops))
+    # swap the recorded operations of two solution rows: only the check of
+    # the solution against every row of the matrix can notice
+    eis_keys, cusp_keys, prec, matrix, scale, factor = forms_module._weight_system(12)
+    swapped = (factor[1], factor[0], *factor[2:])
+    bad = (eis_keys, cusp_keys, prec, matrix, scale, swapped)
     monkeypatch.setitem(forms_module._WEIGHT_SYSTEMS, 12, bad)
     with pytest.raises(ValueError, match="inconsistent solve at weight 12"):
         from_monomials({(0, 3, 0): 1}, constant_sign="classical")
+
+
+@pytest.mark.parametrize("m", [m for m in range(12, 84, 2) if 1 <= cusp_dim(m) <= 6])
+def test_miller_transform_inverts_its_block(m):
+    d = cusp_dim(m)
+    transform = forms_module._miller_transform(m)
+    block = [row.coeffs[1:] for row in forms_module._miller_rows(m, d)]
+    product = [[sum(t * b[c] for t, b in zip(row, block)) for c in range(d)] for row in transform]
+    assert product == [[int(i == c) for c in range(d)] for i in range(d)]
+    # and it maps Miller's rows to the echelon basis, built by its own reduction
+    prec = 2 * d + 5
+    rows = list(forms_module._miller_rows(m, prec))
+    for row, element in zip(transform, cusp_basis(m, prec)):
+        assert linear_combination(list(zip(row, rows)), prec) == element

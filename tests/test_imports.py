@@ -4,6 +4,8 @@ Each import check runs in a fresh interpreter, since the test session
 itself has long since loaded every module.
 """
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -75,6 +77,22 @@ def test_every_public_name_resolves():
     for name in qprime.__all__:
         assert getattr(qprime, name) is not None, name
     assert set(qprime.__all__) <= set(dir(qprime))
+
+
+@pytest.mark.parametrize("name", sorted(qprime._SUBMODULES))
+def test_module_all_lists_what_the_module_defines(name):
+    module = importlib.import_module(f"qprime.{name}")
+    defined = {
+        attr for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert defined <= set(module.__all__)
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        # a function or class is listed only by the module that defines it
+        assert getattr(value, "__module__", module.__name__) == module.__name__, attr
 
 
 def test_submodules_resolve_as_attributes():

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprime.exactnum import first_primes, solve_exact
 from qprime.forms import QuasiForm, hk, hk_quasiform
@@ -298,3 +300,32 @@ def test_omega_tilde_serialization():
     assert data == {"verdict": "InOmegaTilde"}
     data = omega_tilde_decide(QuasiForm(cusp={(16, 0, 1): 2})).to_dict()
     assert data["witness"] == {"type": "cusp", "key": [16, 0, 1], "value": "2"}
+
+
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+@st.composite
+def _eisenstein_forms(draw):
+    # sum of c D^n H_k, which vanishes at every prime, plus D^l G_k terms
+    form = QuasiForm()
+    hks = st.tuples(st.integers(3, 10), st.integers(0, 3), _COEFFS)
+    for half, n, c in draw(st.lists(hks, max_size=3)):
+        form = form + c * hk_quasiform(2 * half).derivative(n)
+    keys = st.tuples(st.sampled_from(range(2, 14, 2)), st.integers(0, 3))
+    return form + QuasiForm(eis=draw(st.dictionaries(keys, _COEFFS, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eisenstein_forms())
+def test_omega_tilde_verdict_matches_prime_polynomial(form):
+    # prime_polynomial is the independent path: omega_tilde_decide does not
+    # call it
+    poly = prime_polynomial(form)
+    result = omega_tilde_decide(form)
+    assert (result.verdict == IN_OMEGA_TILDE) == poly.is_zero()
+    if result.verdict == NOT_IN_OMEGA_TILDE:
+        kind, p, value = result.witness
+        assert kind == "prime" and value == poly.evaluate(p)
+        primes = first_primes(poly.degree_bound + 1)
+        assert p == next(q for q in primes if poly.evaluate(q) != 0)
