@@ -24,7 +24,6 @@ _EXPORTS = {
     "from_monomials": "forms",
     "hk": "forms",
     "hk_quasiform": "forms",
-    "quasiform_expand": "forms",
     "MacMahonTable": "macmahon",
     "macmahon_table": "macmahon",
     "prime_identity": "macmahon",

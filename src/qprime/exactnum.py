@@ -19,6 +19,7 @@ __all__ = [
     "prime_mask",
     "is_prime",
     "first_primes",
+    "is_exact",
     "integer_numerators",
     "rationals_over",
     "factor_exact",
@@ -112,19 +113,50 @@ def primes_up_to(x: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, x + 1) if mask[i])
 
 
+# the 13 primes <= 41: the trial divisors and the Miller-Rabin bases of is_prime
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# no composite below this bound is a strong probable prime to all 13 bases
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017);
+# the bound itself is one
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; meant for isolated queries, not scans."""
+    """Whether n is prime, exactly, for every n below 3317044064679887385961981.
+
+    Trial division by the primes <= 41 decides every n < 41^2.  Above that,
+    Miller-Rabin with those 13 primes as bases, which no composite below
+    the bound passes (Sorenson-Webster).  An n at or above the bound raises
+    ValueError rather than answer without proof.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"is_prime: {n} is not below {_MILLER_RABIN_BOUND}, "
+            "where the Miller-Rabin test is proven exact"
+        )
+    # n - 1 = d 2^s with d odd
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -134,7 +166,7 @@ def first_primes(count: int) -> tuple[int, ...]:
         raise ValueError(f"first_primes: count must be >= 0, got {count}")
     if count == 0:
         return ()
-    # p_n < n(ln n + ln ln n) for n >= 6; small cases padded by the constant
+    # sieve up to 15, 30, 60, ... until it holds count primes
     bound = 15
     while True:
         primes = primes_up_to(bound)
@@ -148,18 +180,22 @@ def first_primes(count: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def is_exact(x) -> bool:
+    """Whether x is an int or a Fraction; never a bool, which would print as "True"."""
+    return type(x) is not bool and isinstance(x, (int, Fraction))
+
+
 def integer_numerators(values):
     """(nums, den) with values[i] == nums[i] / den, den the lcm of denominators.
 
-    Every value must be an int or a Fraction, the only coefficient types;
-    anything else (a float, or a bool, which would print as "True") raises
-    TypeError.  The result is in lowest terms: gcd(den, *nums) == 1.
+    Every value must be exact (is_exact): anything else, a float or a bool,
+    raises TypeError.  The result is in lowest terms: gcd(den, *nums) == 1.
     """
     den = 1
     all_int = True
     for v in values:
         if type(v) is not int:
-            if type(v) is bool or not isinstance(v, (int, Fraction)):
+            if not is_exact(v):
                 raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
             all_int = False
             den = lcm(den, v.denominator)

@@ -30,6 +30,7 @@ from .exactnum import (
     bernoulli,
     factor_exact,
     integer_numerators,
+    is_exact,
     rationals_over,
     sigma_array,
     solves,
@@ -52,7 +53,6 @@ __all__ = [
     "cusp_basis",
     "hk",
     "hk_quasiform",
-    "quasiform_expand",
     "expand_monomials",
     "spanning_keys",
     "from_monomials",
@@ -209,9 +209,8 @@ def cusp_basis(m: int, precision: int) -> list[QExpansion]:
 
 
 def _miller_weights(m: int) -> list[int]:
-    # k_j of Miller's rows R_j = Delta^{j+1} E_{k_j}, one per basis element;
-    # weight 2 has no E_k and can only come last
-    return [k for k in range(m - 12, -1, -12) if k != 2]
+    # k_j of Miller's rows R_j = Delta^{j+1} E_{k_j}, one per basis element
+    return [m - 12 * (j + 1) for j in range(cusp_dim(m))]
 
 
 def _miller_rows(m: int, precision: int):
@@ -334,8 +333,7 @@ def hk(k: int, precision: int, constant_sign: str = "paper") -> QExpansion:
 
 
 def _check_coeff(value, where, source="QuasiForm"):
-    # a bool is an int to Python, but would print as "True"
-    if type(value) is bool or not isinstance(value, (int, Fraction)):
+    if not is_exact(value):
         raise TypeError(
             f"{source}: coefficient at {where} must be an int or a Fraction, got {value!r}"
         )
@@ -417,8 +415,7 @@ class QuasiForm:
         )
 
     def __mul__(self, scalar):
-        # a bool is an int to Python, but no coefficient the constructor takes
-        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
+        if not is_exact(scalar):
             return NotImplemented
         return QuasiForm(
             eis={key: scalar * value for key, value in self.eis.items()},
@@ -548,12 +545,6 @@ def _read_entries(data: dict, field: str, nkeys: int) -> dict:
             raise ValueError(f"QuasiForm: duplicate {field} entry for {key}")
         out[key] = coeff_from_json(value, "QuasiForm JSON", key)
     return out
-
-
-def quasiform_expand(
-    form: QuasiForm, precision: int, constant_sign: str = "paper"
-) -> QExpansion:
-    return form.expand(precision, constant_sign=constant_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +698,12 @@ def from_monomials(
             )
         ratio = Fraction(scale, target.den)
         solution = [v * ratio for v in y]
+        # zeros included: QuasiForm drops them
         for (k, l), value in zip(eis_keys, solution):
-            if value != 0:
-                eis_out[(k, l)] = value
-                if paper and l == 0:
-                    # G_k(classical) = G_k(paper) - B_k/k
-                    const_total -= value * bernoulli(k) / k
-        for key, value in zip(cusp_keys, solution[len(eis_keys) :]):
-            if value != 0:
-                cusp_out[key] = value
-    if const_total != 0:
-        eis_out[(0, 0)] = const_total
+            eis_out[(k, l)] = value
+            if paper and l == 0:
+                # G_k(classical) = G_k(paper) - B_k/k
+                const_total -= value * bernoulli(k) / k
+        cusp_out.update(zip(cusp_keys, solution[len(eis_keys) :]))
+    eis_out[(0, 0)] = const_total
     return QuasiForm(eis=eis_out, cusp=cusp_out)

@@ -30,6 +30,7 @@ from .forms import QuasiForm
 __all__ = [
     "PrimePolynomial",
     "degree_bound",
+    "primes_needed",
     "prime_polynomial",
     "coefficient_at_prime",
     "FiniteCheckResult",
@@ -102,6 +103,15 @@ def degree_bound(form: QuasiForm) -> int:
     return max((l + k - 1 for (k, l) in form.eis if k != 0), default=0)
 
 
+def primes_needed(form: QuasiForm) -> int:
+    """How many distinct vanishing primes decide the form, by the root count.
+
+    c_f(p) is a polynomial in p of degree at most d = degree_bound(form), and
+    a nonzero one has at most d roots: d + 1 vanishing primes make it zero.
+    """
+    return degree_bound(form) + 1
+
+
 def prime_polynomial(form: QuasiForm) -> PrimePolynomial:
     """Collect like powers of p in c_f(p) = sum alpha p^l (1 + p^{k-1})."""
     if not _eisenstein_keys(form):
@@ -172,7 +182,7 @@ def finite_check(form: QuasiForm, primes) -> FiniteCheckResult:
         # no Eisenstein terms at all: c_f(n) = 0 for n >= 1 structurally
         return FiniteCheckResult(verdict=VANISHES_AT_ALL_PRIMES, degree_bound=0)
     d = degree_bound(form)
-    needed = d + 1
+    needed = primes_needed(form)
     seen = sorted(set(primes))
     for p in seen:
         if not is_prime(p):
@@ -329,7 +339,7 @@ def omega_tilde_decide(form: QuasiForm) -> OmegaTildeResult:
         return OmegaTildeResult(
             verdict=NOT_IN_OMEGA_TILDE, witness=("cusp", key, form.cusp[key])
         )
-    check = finite_check(form, first_primes(degree_bound(form) + 1))
+    check = finite_check(form, first_primes(primes_needed(form)))
     if check.witness is None:
         return OmegaTildeResult(verdict=IN_OMEGA_TILDE)
     p, value = check.witness

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exactnum import integer_numerators, rationals_over
+from .exactnum import integer_numerators, is_exact, rationals_over
 
 __all__ = ["QExpansion", "coeff_from_json", "linear_combination"]
 
@@ -45,11 +45,6 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # (sys.int_info.str_digits_check_threshold): a Kronecker limb of at most
 # this many digits converts through str and int under every limit
 _STR_DIGITS = 640
-
-
-def _is_scalar(x) -> bool:
-    # a bool is an int to Python, but no coefficient the constructor takes
-    return type(x) is not bool and isinstance(x, (int, Fraction))
 
 
 class QExpansion:
@@ -118,20 +113,23 @@ class QExpansion:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, sign: int, other):
+        # self + sign * other, for a series or an exact scalar other
         if isinstance(other, QExpansion):
             n = min(self.precision, other.precision)
-            return linear_combination([(1, self), (1, other)], n)
-        if _is_scalar(other):
+            return linear_combination([(1, self), (sign, other)], n)
+        if is_exact(other):
             one = QExpansion.one(self.precision)
-            return linear_combination([(1, self), (other, one)], self.precision)
+            return linear_combination([(1, self), (sign * other, one)], self.precision)
         return NotImplemented
+
+    def __add__(self, other):
+        return self._plus(1, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        # -True is the int -1, so a bool is refused before it is negated
-        return NotImplemented if type(other) is bool else self.__add__(-other)
+        return self._plus(-1, other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -147,7 +145,7 @@ class QExpansion:
             b = a if other is self else other.nums[: n + 1]
             mul_int = _mul_kronecker if n >= _FAST_MUL_MIN_PRECISION else _mul_schoolbook
             return _series(mul_int(a, b, n), self.den * other.den)
-        if _is_scalar(other):
+        if is_exact(other):
             p = other.numerator
             return _series([p * x for x in self.nums], self.den * other.denominator)
         return NotImplemented
@@ -258,7 +256,7 @@ def linear_combination(terms, precision: int) -> QExpansion:
     scaled = []
     den = 1
     for c, f in terms:
-        if not _is_scalar(c):
+        if not is_exact(c):
             raise TypeError(f"linear_combination: coefficient {c!r} is not an int or a Fraction")
         f = f.truncate(precision)
         c = Fraction(c, f.den)

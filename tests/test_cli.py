@@ -182,6 +182,62 @@ def test_finite_check_insufficient(capsys):
     assert data["needed"] == 6
 
 
+def test_finite_check_huge_prime_is_fast(capsys):
+    code, out, _ = run_cli(capsys, "finite-check", "G4", "--primes", str(10**18 + 3))
+    assert code == 1
+    assert json.loads(out)["witness"]["p"] == 10**18 + 3
+
+
+def test_finite_check_prime_past_the_primality_range_exits_2(capsys):
+    # 2^89 - 1 is prime, but above the range where is_prime is proven exact
+    code, _, err = run_cli(capsys, "finite-check", "G4", "--primes", str(2**89 - 1))
+    assert code == 2
+    assert "Miller-Rabin" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--amax", "11"], "--amax must be at most 10"),
+     (["--bound", "5001"], "--bound must be at most 5000"),
+     (["--amax", str(10**12), "--bound", str(10**12)], "--amax must be at most 10")],
+)
+def test_macmahon_refuses_sizes_past_its_caps(capsys, monkeypatch, argv, message):
+    import qprime.macmahon
+
+    def never(*args):
+        raise AssertionError("macmahon_table called past the caps")
+
+    monkeypatch.setattr(qprime.macmahon, "macmahon_table", never)
+    code, _, err = run_cli(capsys, "macmahon", *argv)
+    assert code == 2
+    assert message in err
+
+
+def test_macmahon_accepts_sizes_at_its_caps(capsys, monkeypatch):
+    import qprime.macmahon
+
+    def reached(a_max, n_max):
+        raise ValueError(f"reached with {a_max}, {n_max}")
+
+    monkeypatch.setattr(qprime.macmahon, "macmahon_table", reached)
+    code, _, err = run_cli(capsys, "macmahon", "--amax", "10", "--bound", "5000")
+    assert code == 2
+    assert "reached with 10, 5000" in err
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    import qprime.macmahon
+
+    def exhausted(a_max, n_max):
+        raise MemoryError
+
+    monkeypatch.setattr(qprime.macmahon, "macmahon_table", exhausted)
+    code, out, err = run_cli(capsys, "macmahon", "--bound", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
 def test_macmahon_csv(capsys):
     code, out, _ = run_cli(capsys, "macmahon", "--amax", "2", "--bound", "6", "--format", "csv")
     assert code == 0

@@ -17,6 +17,8 @@ from qprime.exactnum import (
     bernoulli,
     factor_exact,
     integer_numerators,
+    is_exact,
+    is_prime,
     prime_mask,
     primes_up_to,
     sigma_array,
@@ -125,6 +127,56 @@ def test_primes_against_trial_division():
     plist = primes_up_to(10**4)
     expected = [n for n in range(2, 10**4 + 1) if is_prime(n)]
     assert list(plist) == expected
+
+
+# the bound below which is_prime is proven exact (Sorenson-Webster)
+_MR_BOUND = 3317044064679887385961981
+
+
+def test_is_prime_agrees_with_the_sieve():
+    n_max = 2 * 10**5
+    mask = prime_mask(n_max)
+    assert not any(is_prime(n) for n in range(-3, 0))
+    assert all(is_prime(n) == bool(mask[n]) for n in range(n_max + 1))
+
+
+# composites that pass Miller-Rabin for every prime base up to 31, and up
+# to 37: only the later bases catch them
+_STRONG_PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(7)
+    cases = [rng.randrange(10 ** rng.randrange(4, 25)) for _ in range(3000)]
+    cases += [n + d for n in _STRONG_PSEUDOPRIMES + (10**18, _MR_BOUND - 100) for d in range(100)]
+    cases += [561, 1105, 1729, 3215031751, 41 * 41, 43 * 43, 41 * 43]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_never_trusts_a_strong_pseudoprime():
+    for n in _STRONG_PSEUDOPRIMES:
+        assert not is_prime(n)
+
+
+def test_is_prime_refuses_past_its_proven_range():
+    assert is_prime(10**18 + 3)
+    assert not is_prime(_MR_BOUND - 1)  # even
+    # the bound is itself a strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError, match="Miller-Rabin"):
+        is_prime(_MR_BOUND)
+    with pytest.raises(ValueError, match="Miller-Rabin"):
+        is_prime(2**89 - 1)  # a Mersenne prime
+
+
+def test_is_exact():
+    for x in (0, -3, 10**50, Fraction(1, 3), Fraction(4, 2)):
+        assert is_exact(x)
+    for x in (True, False, 0.5, 2.0, None, "1", 1j):
+        assert not is_exact(x)
 
 
 def test_primes_up_to_counts():

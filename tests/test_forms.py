@@ -25,7 +25,6 @@ from qprime.forms import (
     from_monomials,
     hk,
     hk_quasiform,
-    quasiform_expand,
     spanning_keys,
     _classicalize,
 )
@@ -352,7 +351,7 @@ def test_hk_vanishes_at_small_primes():
             assert h.coeffs[p] == 0, (k, p)
 
 
-def test_hk_quasiform_expands_to_hk():
+def test_hk_quasiform_expansion_is_hk():
     for k in (6, 8, 12):
         assert hk_quasiform(k).expand(50).coeffs == hk(k, 50).coeffs
 
@@ -410,14 +409,13 @@ def test_quasiform_derivative_shifts_and_kills_constant():
     assert df.expand(20).coeffs == f.expand(20).derivative().coeffs
 
 
-def test_quasiform_expand_examples():
+def test_quasiform_expansion_examples():
     assert QuasiForm(eis={(4, 0): 1}).expand(20).coeffs == eisenstein_g(4, 20).coeffs
     c = Fraction(1, 6)
     h6_map = QuasiForm(eis={(2, 2): c, (2, 1): -c, (2, 0): c, (4, 0): -c})
     assert h6_map.expand(30).coeffs == hk(6, 30).coeffs
     dd = QuasiForm(cusp={(12, 0, 1): 1})
     assert dd.expand(5).coeffs[2] == -48
-    assert quasiform_expand(dd, 5).coeffs == dd.expand(5).coeffs
 
 
 def test_quasiform_constant_expansion():

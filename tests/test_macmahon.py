@@ -5,9 +5,12 @@ The table gets a genuinely independent oracle: direct enumeration over
 products of multiplicities.
 """
 
+from fractions import Fraction as F
+
 import pytest
 
 from qprime.exactnum import sigma_array
+from qprime.forms import QuasiForm
 from qprime.macmahon import (
     MacMahonTable,
     macmahon_table,
@@ -124,3 +127,28 @@ def test_csv_export():
     solo = macmahon_table(1, 3).to_csv().strip().splitlines()
     assert solo[0] == "n,M_1"
     assert solo[1] == "1,1"
+
+
+# U_a = sum_n M_a(n) q^n as quasimodular forms of mixed weight <= 2a
+# (Andrews-Rose), {(k, l): coefficient of D^l G_k} in the paper's
+# convention, (0, 0) the constant
+MACMAHON_FORMS = {
+    1: {(2, 0): 1, (0, 0): F(-1, 24)},
+    2: {(2, 0): F(1, 8), (2, 1): F(-1, 4), (4, 0): F(1, 8), (0, 0): F(-3, 640)},
+    3: {(2, 0): F(37, 1920), (2, 1): F(-5, 96), (2, 2): F(1, 48), (4, 0): F(5, 192),
+        (4, 1): F(-1, 64), (6, 0): F(1, 640), (0, 0): F(-5, 7168)},
+    4: {(2, 0): F(3229, 967680), (2, 1): F(-47, 4608), (2, 2): F(7, 1152),
+        (2, 3): F(-1, 1152), (4, 0): F(47, 9216), (4, 1): F(-7, 1536), (4, 2): F(1, 1280),
+        (6, 0): F(7, 15360), (6, 1): F(-1, 7680), (8, 0): F(1, 193536),
+        (0, 0): F(-35, 294912)},
+}
+
+
+def test_table_rows_are_quasimodular_forms():
+    # an oracle through the sigma tables, sharing nothing with the DP
+    n = 600
+    table = macmahon_table(4, n)
+    for a, eis in MACMAHON_FORMS.items():
+        series = QuasiForm(eis=eis).expand(n)
+        assert series[0] == 0, a
+        assert series.coeffs == list(table.values[a - 1]), a

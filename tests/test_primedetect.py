@@ -26,6 +26,7 @@ from qprime.primedetect import (
     omega_scan,
     omega_tilde_decide,
     prime_polynomial,
+    primes_needed,
 )
 
 
@@ -169,6 +170,18 @@ def test_finite_check_never_fooled_by_planted_roots():
     enough = first_primes(poly.degree_bound + 1)
     exposed = finite_check(form, enough)
     assert exposed.verdict == NOT_ALL_PRIMES
+
+
+def test_every_verdict_uses_the_one_root_count():
+    # finite_check's needed and omega_tilde_decide's primes come from
+    # primes_needed: one past the degree bound
+    h8 = hk_quasiform(8)
+    d = prime_polynomial(h8).degree_bound
+    assert primes_needed(h8) == d + 1
+    assert finite_check(h8, [2]).needed == d + 1
+    assert finite_check(h8, first_primes(d)).verdict == INSUFFICIENT_PRIMES
+    assert omega_tilde_decide(h8).verdict == IN_OMEGA_TILDE
+    assert primes_needed(QuasiForm.constant(3)) == 1
 
 
 def test_vandermonde_soundness_explicit_solve():
