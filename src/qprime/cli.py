@@ -37,16 +37,6 @@ def _load_form(spec: str):
         return QuasiForm.from_json(fh.read())
 
 
-def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv_text(rows) -> str:
     import csv
     import io
@@ -63,52 +53,64 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _fields_csv(data: dict) -> str:
-    rows = [["field", "value"]]
-    for key, value in data.items():
-        rows.append([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
-    return _csv_text(rows)
+def _field_rows(data: dict) -> list:
+    return [["field", "value"]] + [
+        [key, json.dumps(value) if isinstance(value, (list, dict)) else value]
+        for key, value in data.items()
+    ]
+
+
+def _emit(args, data, to_csv=None) -> None:
+    """Write a subcommand's result as JSON or CSV, to --output or stdout.
+
+    JSON is data; CSV is to_csv(), by default one field,value row per entry
+    of data.  With data None there is no JSON form and CSV is written
+    whatever --format says (--plot-data).  Only the written format is built.
+    """
+    if data is not None and args.format == "json":
+        text = json.dumps(data, indent=2) + "\n"
+    else:
+        text = to_csv() if to_csv else _csv_text(_field_rows(data))
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code, its JSON data and a callable that
+# gives its CSV text (None for the field,value rows of the data)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     if args.precision < 1:
         raise ValueError(f"--precision must be >= 1, got {args.precision}")
     form = _load_form(args.form)
-    series = form.expand(args.precision, constant_sign=args.constant_sign)
-    if args.format == "csv":
-        rows = [["n", "coefficient"]]
-        rows += enumerate(series.to_dict()["coeffs"])
-        _emit(_csv_text(rows), args.output)
-    else:
-        _emit(series.to_json(indent=2), args.output)
-    return 0
+    data = form.expand(args.precision, constant_sign=args.constant_sign).to_dict()
+    return 0, data, lambda: _csv_text([["n", "coefficient"], *enumerate(data["coeffs"])])
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     from .decompose import split_eis_cusp
 
     if args.precision < 1:
         raise ValueError(f"--precision must be >= 1, got {args.precision}")
     form = _load_form(args.form)
     result = split_eis_cusp(form, certificate_precision=args.precision)
-    if args.format == "csv":
-        rows = [["part", "weight", "index", "derivative", "coefficient"]]
+
+    def rows():
+        yield ["part", "weight", "index", "derivative", "coefficient"]
         for (k, l), value in sorted(result.eis_part.eis.items()):
-            rows.append(["eis", k, "", l, str(value)])
+            yield ["eis", k, "", l, str(value)]
         for (m, i, l), value in sorted(result.cusp_part.cusp.items()):
-            rows.append(["cusp", m, i, l, str(value)])
-        _emit(_csv_text(rows), args.output)
-    else:
-        _emit(result.to_json(indent=2), args.output)
-    return 0
+            yield ["cusp", m, i, l, str(value)]
+
+    return 0, result.to_dict(), lambda: _csv_text(rows())
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args):
     from .decompose import split_eis_cusp
     from .primedetect import IN_OMEGA_TILDE, omega_scan, omega_tilde_decide
 
@@ -127,21 +129,20 @@ def _cmd_decide(args) -> int:
         "scan": scan.to_dict(),
         "decomposition": decomposition.to_dict(),
     }
-    if args.format == "csv":
-        flat = {
+
+    def to_csv():
+        return _csv_text(_field_rows({
             "verdict": verdict.verdict,
-            "witness": json.dumps(verdict.to_dict().get("witness")),
+            "witness": json.dumps(payload["verdict"].get("witness")),
             "nonneg_ok": scan.nonneg_ok,
             "zero_set_equals_primes": scan.zero_set_equals_primes,
             "total_violations": scan.total_violations,
-        }
-        _emit(_fields_csv(flat), args.output)
-    else:
-        _emit(json.dumps(payload, indent=2), args.output)
-    return 0 if verdict.verdict == IN_OMEGA_TILDE and scan.passed else 1
+        }))
+
+    return (0 if verdict.verdict == IN_OMEGA_TILDE and scan.passed else 1), payload, to_csv
 
 
-def _cmd_finite_check(args) -> int:
+def _cmd_finite_check(args):
     from .exactnum import first_primes
     from .primedetect import VANISHES_AT_ALL_PRIMES, finite_check, primes_needed
 
@@ -153,11 +154,7 @@ def _cmd_finite_check(args) -> int:
     else:
         primes = list(first_primes(primes_needed(form)))
     result = finite_check(form, primes)
-    if args.format == "csv":
-        _emit(_fields_csv(result.to_dict()), args.output)
-    else:
-        _emit(result.to_json(indent=2), args.output)
-    return 0 if result.verdict == VANISHES_AT_ALL_PRIMES else 1
+    return (0 if result.verdict == VANISHES_AT_ALL_PRIMES else 1), result.to_dict(), None
 
 
 # the largest table the macmahon subcommand builds.  Its time grows about
@@ -168,7 +165,7 @@ MACMAHON_MAX_AMAX = 10
 MACMAHON_MAX_BOUND = 5000
 
 
-def _cmd_macmahon(args) -> int:
+def _cmd_macmahon(args):
     from .macmahon import macmahon_table, prime_identity
 
     # refused before anything is allocated
@@ -177,23 +174,19 @@ def _cmd_macmahon(args) -> int:
     if args.bound > MACMAHON_MAX_BOUND:
         raise ValueError(f"--bound must be at most {MACMAHON_MAX_BOUND}, got {args.bound}")
     table = macmahon_table(args.amax, args.bound)
-    if args.format == "csv":
-        _emit(table.to_csv(), args.output)
-    else:
-        payload = {
-            "a_max": table.a_max,
-            "n_max": table.n_max,
-            "m": [list(row[1:]) for row in table.values],
-        }
-        if table.a_max >= 2:
-            payload["identity_holds"] = [
-                prime_identity(n, table)[0] for n in range(1, table.n_max + 1)
-            ]
-        _emit(json.dumps(payload, indent=2), args.output)
-    return 0
+    payload = {
+        "a_max": table.a_max,
+        "n_max": table.n_max,
+        "m": [list(row[1:]) for row in table.values],
+    }
+    if table.a_max >= 2:
+        payload["identity_holds"] = [
+            prime_identity(n, table)[0] for n in range(1, table.n_max + 1)
+        ]
+    return 0, payload, table.to_csv
 
 
-def _cmd_signstats(args) -> int:
+def _cmd_signstats(args):
     from .signstats import partial_sum_report
 
     form = _load_form(args.form)
@@ -204,28 +197,22 @@ def _cmd_signstats(args) -> int:
             raise ValueError(
                 "--plot-data needs a growth profile; the form must be cusp-only and nonzero"
             )
-        rows = [["x", "normalized_sq"]] + [[x, v] for x, v in report.normalized_sq]
-        _emit(_csv_text(rows), args.output)
-    elif args.format == "csv":
-        rows = [["x", "partial_sum", "partial_sum_sq", "normalized_sq"]]
+        return 0, None, lambda: _csv_text([["x", "normalized_sq"], *report.normalized_sq])
+
+    def rows():
+        yield ["x", "partial_sum", "partial_sum_sq", "normalized_sq"]
         norm = dict(report.normalized_sq)
         for (x, s), (_, sq) in zip(report.partial_sum, report.partial_sum_sq):
-            rows.append([x, str(s), str(sq), norm.get(x, "")])
-        _emit(_csv_text(rows), args.output)
-    else:
-        _emit(report.to_json(indent=2), args.output)
-    return 0
+            yield [x, str(s), str(sq), norm.get(x, "")]
+
+    return 0, report.to_dict(), lambda: _csv_text(rows())
 
 
-def _cmd_deligne(args) -> int:
+def _cmd_deligne(args):
     from .signstats import deligne_check
 
     report = deligne_check(args.weight, args.bound)
-    if args.format == "csv":
-        _emit(_fields_csv(report.to_dict()), args.output)
-    else:
-        _emit(report.to_json(indent=2), args.output)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_dict(), None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +303,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, data, to_csv = args.handler(args)
+        _emit(args, data, to_csv)
+        return code
     except (ValueError, OSError) as exc:  # a FormSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

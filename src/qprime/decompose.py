@@ -6,7 +6,6 @@ is in the canonical representation the split is projection on its two maps.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .forms import QuasiForm, from_monomials
@@ -32,9 +31,6 @@ class DecompositionResult(
             "cusp_part": self.cusp_part.to_dict(),
             "certificate_precision": self.certificate_precision,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecompositionResult":

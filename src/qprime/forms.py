@@ -41,6 +41,7 @@ from .qseries import (
     _series,
     coeff_from_json,
     linear_combination,
+    read_json,
 )
 
 __all__ = [
@@ -512,7 +513,7 @@ class QuasiForm:
 
     @classmethod
     def from_json(cls, text: str) -> "QuasiForm":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text, "QuasiForm JSON"))
 
 
 def _read_entries(data: dict, field: str, nkeys: int) -> dict:

@@ -20,7 +20,6 @@ omega_scan is bounded empirical verification over 2 <= n <= N.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 
@@ -166,9 +165,6 @@ class FiniteCheckResult(
             out["witness"] = {"p": self.witness[0], "value": str(self.witness[1])}
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def finite_check(form: QuasiForm, primes) -> FiniteCheckResult:
     """Decide prime-coefficient vanishing from finitely many evaluations.
@@ -236,9 +232,6 @@ class OmegaReport(
             "violations": [[n, str(v), reason] for n, v, reason in self.violations],
             "total_violations": self.total_violations,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def omega_scan(
@@ -320,9 +313,6 @@ class OmegaTildeResult(namedtuple("OmegaTildeResult", "verdict witness", default
                 "value": str(value),
             }
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def omega_tilde_decide(form: QuasiForm) -> OmegaTildeResult:

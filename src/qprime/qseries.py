@@ -27,7 +27,7 @@ from operator import mul
 
 from .exactnum import integer_numerators, is_exact, rationals_over
 
-__all__ = ["QExpansion", "coeff_from_json", "linear_combination"]
+__all__ = ["QExpansion", "coeff_from_json", "read_json", "linear_combination"]
 
 # products at or above this precision go through Kronecker substitution;
 # below it schoolbook convolution runs (and keeps small cases simple).
@@ -201,7 +201,15 @@ class QExpansion:
 
     @classmethod
     def from_json(cls, text: str) -> "QExpansion":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text, "QExpansion JSON"))
+
+
+def read_json(text: str, source: str):
+    """json.loads, with nesting too deep for the parser raised as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source} is nested too deeply") from None
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

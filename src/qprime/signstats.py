@@ -17,7 +17,6 @@ and the profile records which terms attain the maximum.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -36,11 +35,15 @@ __all__ = [
     "deligne_check",
     "deligne_scan",
     "EIGENFORM_WEIGHTS",
+    "MAX_FAILURES",
 ]
 
 # weights whose cusp space is one-dimensional, so the echelon basis
-# element is the normalized eigenform
-EIGENFORM_WEIGHTS = (12, 16, 18, 20, 22, 26)
+# element is the normalized eigenform; cusp_dim(m) >= 2 from m = 28 on
+EIGENFORM_WEIGHTS = tuple(m for m in range(2, 28, 2) if cusp_dim(m) == 1)
+
+# failures a DeligneReport lists; the verdict counts every prime
+MAX_FAILURES = 20
 
 
 def prime_coefficients(form: QuasiForm, x_max: int) -> list:
@@ -157,9 +160,6 @@ class SignStatsReport(
             "normalized_sq": [[x, v] for x, v in self.normalized_sq],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def partial_sum_report(form: QuasiForm, x_max: int, grid=None) -> SignStatsReport:
     """Sum c_F(p) and c_F(p)^2 over p <= x for each grid value x.
@@ -243,11 +243,8 @@ class DeligneReport(
             "failures": [[p, str(a)] for p, a in self.failures],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
-
-def deligne_scan(coeffs, weight: int, x_max: int, max_failures: int = 20) -> DeligneReport:
+def deligne_scan(coeffs, weight: int, x_max: int) -> DeligneReport:
     """Check the squared bound against an arbitrary coefficient sequence.
 
     Split out from deligne_check so tests can feed a synthetic sequence
@@ -263,9 +260,9 @@ def deligne_scan(coeffs, weight: int, x_max: int, max_failures: int = 20) -> Del
         if ratio > worst:
             worst = ratio
             worst_prime = p
-        if a * a > 4 * p ** (weight - 1):
+        if ratio > 1:
             passed = False
-            if len(failures) < max_failures:
+            if len(failures) < MAX_FAILURES:
                 failures.append((p, a))
     return DeligneReport(
         weight=weight,

@@ -422,6 +422,16 @@ def test_quasiform_json_boundary(capsys, tmp_path, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["expand", "decide"])
+def test_deeply_nested_json_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"eis": ' + "[" * 1000 + "]" * 1000 + "}")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: QuasiForm JSON is nested too deeply\n"
+
+
 def test_quasiform_json_accepts_int_and_string_coefficients(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text('{"eis": [[4, 0, 240], [2, 1, "-1/2"]], "cusp": [[12, 0, 0, "3"]]}')
@@ -506,3 +516,65 @@ def test_big_series_output_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the standard output of every subcommand in both formats, as
+# the previous release wrote it; how the output is assembled must not
+# move a byte
+_PINNED_FORMATS = {
+    "decide-in": (["decide", "H8", "--bound", "40"], 0,
+                  "140faa4d92e827f8a989f10ef221eba1cfdd2c258748a7584de8bad7cd26f7c5",
+                  "0ee23884685ed4a515c836d613230bcdbff9ed4e75a92b65c88578d7e54449f8"),
+    "decide-not": (["decide", "H8 + DELTA", "--bound", "40"], 1,
+                   "bd809722f3ccde5ebdf754f0e97a8431949bccf83cbb8d89226256aeaf41c6e5",
+                   "6ba47fdc2872f84582868c28cb80cdae93cacbf818805c56af8b34e24329ce3d"),
+    "decompose": (["decompose", "3 D G4 - 1/2 S16.0 + D^2 DELTA", "--precision", "20"], 0,
+                  "6af33ffbac6344f59175f4ed79d93859b652a1411c95dcf9433f1a915d486485",
+                  "80f25a2df81b76ed173a4f4fa664faf467d4bdcdc1ea267be85585cf9cabc72a"),
+    "finite-vanishes": (["finite-check", "H8"], 0,
+                        "679b36318a3855e6defaf427f7d22ce79f8e9ef8ba231bd46d17e876100e9c1b",
+                        "8c74bf977f7b1e733e5e487dc0a1863bbcab30d3c28e832ec347eb007b1f9e2f"),
+    "finite-not": (["finite-check", "G4 - G6"], 1,
+                   "d4bdf01462abc4585962fda4f1f6fb17c8c4884ae23d17a1b2dbdec195f645f9",
+                   "0dfb6e607f18cc37bf12c2b7dfd57baf832dac75a0ca2bfb6b0db09fabf96f7d"),
+    "finite-insufficient": (["finite-check", "H8", "--first-primes", "2"], 1,
+                            "685986f495a5ff76cfec5e331e471d7b3464d87b80a0fb45d6273f1af8831919",
+                            "af40523da1fa77a0473de16cf1a0364c70e6e281e0820d3e61feeb1d289cfcaf"),
+    "deligne": (["deligne", "--weight", "16", "--bound", "40"], 0,
+                "05ab631ce3b31a1565f02bb006b64a19a5580a27c68cbe61594377133516055e",
+                "c240a022dbfd4acf1a2b2eb72a7204ede2312fd3c3388e89037c8e2ea27061a6"),
+    "expand": (["expand", "3/2 D^2 G4 + DELTA", "--precision", "12"], 0,
+               "31404ab667775ca3308775ce9d10e30bd93fed29736139db70c774a7ff356b6d",
+               "777e6572142a9922683ebb4896c80a6ee82f84c675f29c4cb01c4b3568cf014e"),
+    "macmahon-a1": (["macmahon", "--amax", "1", "--bound", "10"], 0,
+                    "6c0713a54b8c29cded649cddb1953e5cbcfbdb00411607175a1ec31e358009cd",
+                    "7b1b0d0a6ddc380914e7cff32703eff1ef1cae2ee48ee1dd661f124f61bd3f8a"),
+    "macmahon-a3": (["macmahon", "--amax", "3", "--bound", "12"], 0,
+                    "b8666d244e7a60b0af0cb91876547f7c67cdc820c69126ed1c3ee2c22d9ab554",
+                    "d192e2356e56cf01edf19c080ee84a136ef751396afb522726a73c0943e4e9b4"),
+    "signstats": (["signstats", "S24.1 - 3/2 D^2 DELTA", "--bound", "100",
+                   "--grid", "10,50,100"], 0,
+                  "734273b09a826fcdd4548eeb35017985d92eed0fdee59c94801cccaa0d2e7460",
+                  "f1d9a72d7f3e7612c89a56db8caa1048ea9a011bf1784b61a7eb53d72c9aea2b"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(_PINNED_FORMATS))
+def test_every_subcommand_output_is_pinned(capsys, case, fmt):
+    argv, expected_code, json_digest, csv_digest = _PINNED_FORMATS[case]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == expected_code
+    assert err == ""
+    digest = json_digest if fmt == "json" else csv_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_plot_data_output_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "signstats", "DELTA", "--bound", "60", "--grid", "5,30,60", "--plot-data"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eb78b62e2c5f7314e4f67bfbeb978f786aa96356de2cc7aa4ab1b4f726f52502"
+    )

@@ -3,7 +3,9 @@
 Each nontrivial value is checked against an independent computation:
 Bernoulli numbers against their defining recurrence, sigma_array against
 the factorization oracle (itself checked against brute divisor
-enumeration), the prime sieve against trial division.
+enumeration), the prime sieve against trial division.  Where sympy is
+installed, Bernoulli numbers, sigma_array and is_prime are also checked
+against it.
 """
 
 from fractions import Fraction
@@ -155,6 +157,20 @@ def test_is_prime_against_sympy():
     cases += [561, 1105, 1729, 3215031751, 41 * 41, 43 * 43, 41 * 43]
     for n in cases:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_bernoulli_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(0, 601, 2):
+        expected = sympy.bernoulli(k)
+        assert bernoulli(k) == Fraction(int(expected.p), int(expected.q)), k
+
+
+def test_sigma_array_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for r in (0, 1, 3, 11):
+        arr = sigma_array(r, 600)
+        assert arr[1:] == [int(sympy.divisor_sigma(n, r)) for n in range(1, 601)], r
 
 
 def test_is_prime_never_trusts_a_strong_pseudoprime():

@@ -9,6 +9,7 @@ never another exception, on anything else.
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,3 +138,14 @@ def test_readers_raise_only_value_error(data):
             reader(data)
         except ValueError:
             pass
+
+
+# the json parser itself runs out of stack at this depth
+_DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize("reader", [QExpansion.from_json, QuasiForm.from_json])
+@pytest.mark.parametrize("text", [_DEEP, '{"eis": ' + _DEEP + "}"], ids=["top", "eis"])
+def test_readers_refuse_deep_nesting_with_value_error(reader, text):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        reader(text)

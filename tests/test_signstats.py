@@ -6,9 +6,10 @@ from math import gcd
 import pytest
 
 from qprime.exactnum import primes_up_to
-from qprime.forms import QuasiForm, cusp_basis, delta
+from qprime.forms import MAX_WEIGHT, QuasiForm, cusp_basis, cusp_dim, delta
 from qprime.signstats import (
     EIGENFORM_WEIGHTS,
+    MAX_FAILURES,
     count_sign_changes,
     deligne_check,
     deligne_scan,
@@ -157,6 +158,12 @@ def test_deligne_eigenforms_small():
         assert 0 < report.worst_ratio < 1
 
 
+def test_eigenform_weights_are_the_one_dimensional_cusp_spaces():
+    assert EIGENFORM_WEIGHTS == tuple(
+        m for m in range(2, MAX_WEIGHT + 1, 2) if cusp_dim(m) == 1
+    )
+
+
 def test_deligne_rejects_other_weights():
     for m in (14, 24, 28, 11):
         with pytest.raises(ValueError):
@@ -171,6 +178,15 @@ def test_deligne_synthetic_violation():
     assert report.failures == ((2, 100),)
     assert report.worst_prime == 2
     assert report.worst_ratio > 1
+
+
+def test_deligne_scan_lists_at_most_max_failures():
+    # a(p)^2 = 4 p^12 > 4 p^11 at every prime
+    coeffs = [2 * n**6 for n in range(200)]
+    report = deligne_scan(coeffs, 12, 199)
+    assert not report.passed
+    assert len(report.failures) == MAX_FAILURES
+    assert [p for p, _ in report.failures] == list(primes_up_to(199))[:MAX_FAILURES]
 
 
 def test_eigenform_multiplicativity():
